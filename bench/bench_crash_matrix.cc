@@ -334,7 +334,7 @@ main()
     report.noteOutcome(ckpt_outcome);
     std::string path = report.write();
     if (!path.empty())
-        std::cout << "\nwrote " << path << "\n";
+        std::cerr << "wrote " << path << "\n";
 
     if (failures) {
         std::cerr << "crash-matrix: " << failures

@@ -272,7 +272,7 @@ main()
         report.set("metrics", last_metrics);
     std::string path = report.write();
     if (!path.empty())
-        std::cout << "\nwrote " << path << "\n";
+        std::cerr << "wrote " << path << "\n";
 
     if (failures) {
         std::cerr << "fabric-matrix: " << failures

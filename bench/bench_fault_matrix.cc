@@ -167,7 +167,7 @@ main()
     report.noteOutcome(outcome);
     std::string path = report.write();
     if (!path.empty())
-        std::cout << "\nwrote " << path << "\n";
+        std::cerr << "wrote " << path << "\n";
 
     if (!outcome.complete()) {
         std::cerr << "FAIL: fault matrix sweep lost runs\n";

@@ -145,7 +145,7 @@ writeResultsFile(const std::string &stem, const std::string &content)
         ++failures;
         return;
     }
-    std::cout << "wrote " << path << "\n";
+    std::cerr << "wrote " << path << "\n";
 }
 
 /** Policies the ATL_TRACE_POLICY env selects (default: lff only). */

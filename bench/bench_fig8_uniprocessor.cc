@@ -29,8 +29,10 @@ main()
     SweepOutcome outcome;
     FabricOutcome fabric;
     std::vector<MatrixRow> rows = runMatrix(1, failures, &outcome, &fabric);
-    std::cout << "matrix swept in " << timer.seconds() << " s on "
-              << SweepRunner::defaultJobs() << " worker(s)\n\n";
+    // Host time goes to stderr: stdout is the deterministic capture
+    // that scripts/regen_results.sh compares with results/*.txt.
+    std::cerr << "matrix swept in " << timer.seconds() << " s on "
+              << SweepRunner::defaultJobs() << " worker(s)\n";
     printCharts("1-cpu Ultra-1", rows);
     writeMatrixReport("bench_fig8_uniprocessor", "1-cpu Ultra-1", 1,
                       outcome, fabric.workers ? &fabric : nullptr);

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -445,7 +446,12 @@ main(int argc, char **argv)
     }
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
-    benchmark::RunSpecifiedBenchmarks();
+    // Host timings go to stderr (and the JSON report): stdout holds
+    // only what reproduces bit-for-bit.
+    benchmark::ConsoleReporter display;
+    display.SetOutputStream(&std::cerr);
+    display.SetErrorStream(&std::cerr);
+    benchmark::RunSpecifiedBenchmarks(&display);
     benchmark::Shutdown();
     return 0;
 }

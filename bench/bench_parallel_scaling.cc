@@ -201,7 +201,7 @@ main()
 
     std::string path = report.write();
     if (!path.empty()) {
-        std::cout << "\nwrote " << path << "\n";
+        std::cerr << "wrote " << path << "\n";
         // Mirror under the headline artifact name the docs reference.
         std::string mirror =
             BenchReport::resultsDir() + "/BENCH_parallel.json";
@@ -210,7 +210,7 @@ main()
             path, mirror, std::filesystem::copy_options::overwrite_existing,
             ec);
         if (!ec)
-            std::cout << "wrote " << mirror << "\n";
+            std::cerr << "wrote " << mirror << "\n";
     }
     return failures == 0 ? 0 : 1;
 }

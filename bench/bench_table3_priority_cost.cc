@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -196,7 +197,12 @@ main(int argc, char **argv)
     }
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
-    benchmark::RunSpecifiedBenchmarks();
+    // Host timings go to stderr (and the JSON report): stdout holds
+    // only what reproduces bit-for-bit.
+    benchmark::ConsoleReporter display;
+    display.SetOutputStream(&std::cerr);
+    display.SetErrorStream(&std::cerr);
+    benchmark::RunSpecifiedBenchmarks(&display);
     benchmark::Shutdown();
     return 0;
 }

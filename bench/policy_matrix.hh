@@ -265,7 +265,7 @@ writeMatrixReport(const std::string &bench_name,
         report.noteOutcome(outcome);
     std::string path = report.write();
     if (!path.empty())
-        std::cout << "\nwrote " << path << "\n";
+        std::cerr << "wrote " << path << "\n";
 }
 
 /** Print the paper-style pair of charts: total E-cache misses

@@ -764,7 +764,9 @@ fi
 
 cmake -B build -G Ninja
 cmake --build build
-ctest --test-dir build -j "$(nproc)"
+# The results check runs once, after the bench loop below, when every
+# bench's JSON report is there to compare against too.
+ctest --test-dir build -j "$(nproc)" -LE results
 
 # Each bench sweeps its runs on ATL_SWEEP_JOBS workers and drops a
 # machine-readable report into results/.
@@ -878,6 +880,11 @@ PYEOF
     fi
 done
 [ "$missing" -eq 0 ] || { echo "bench reports incomplete" >&2; exit 1; }
+
+# The committed captures (and the reports just written) must reproduce
+# bit-for-bit: stdout against results/*.txt, JSON minus host keys.
+echo "==== results reproduce"
+scripts/regen_results.sh --check --build build
 
 if [ "$RUN_PERF" -eq 1 ]; then
     scripts/perf_gate.sh

@@ -20,6 +20,8 @@ Hierarchy::invalidateLine(PAddr pa)
     bool present = _l2.invalidate(pa);
     if (present) {
         invalidateL1Range(_l2.lineAlign(pa));
+        if (_dir)
+            _dir->remove(pa, _cpuId);
         notifyEvict(_l2.lineAlign(pa));
     }
     return present;
@@ -28,9 +30,13 @@ Hierarchy::invalidateLine(PAddr pa)
 void
 Hierarchy::flush()
 {
-    if (_observer) {
-        _l2.forEachResident(
-            [this](PAddr line) { _observer->onL2Evict(_cpuId, line); });
+    if (_observer || _dir) {
+        _l2.forEachResident([this](PAddr line) {
+            if (_dir)
+                _dir->remove(line, _cpuId);
+            if (_observer)
+                _observer->onL2Evict(_cpuId, line);
+        });
     }
     _l1i.flush();
     _l1d.flush();

@@ -14,6 +14,7 @@
 #define ATL_MEM_HIERARCHY_HH
 
 #include "atl/mem/cache.hh"
+#include "atl/mem/line_directory.hh"
 #include "atl/util/logging.hh"
 
 namespace atl
@@ -103,7 +104,9 @@ struct HierarchyOutcome
 /**
  * One processor's caches. Fill/evict events at the E-cache level are
  * reported to the installed MemoryObserver so the tracer can maintain
- * per-thread footprint ground truth.
+ * per-thread footprint ground truth, and kept in the attached
+ * LineDirectory so the machine can find a line's holders without
+ * probing every peer.
  */
 class Hierarchy
 {
@@ -175,6 +178,21 @@ class Hierarchy
         _cpuId = self_id;
     }
 
+    /**
+     * Keep `dir` equal to this E-cache's contents from now on: every
+     * fill, victim eviction, invalidation and flush updates this
+     * processor's holder bit. Attach before the first access (null
+     * detaches).
+     * @param dir directory shared by the machine's hierarchies
+     * @param self_id processor id whose bit this hierarchy owns
+     */
+    void
+    attachDirectory(LineDirectory *dir, CpuId self_id)
+    {
+        _dir = dir;
+        _cpuId = self_id;
+    }
+
   private:
     /** Enforce inclusion: drop L1 copies covered by an evicted L2 line.
      *  Inline: it runs on every E-cache replacement, and the sweep is
@@ -199,6 +217,7 @@ class Hierarchy
     Cache _l1d;
     Cache _l2;
     MemoryObserver *_observer = nullptr;
+    LineDirectory *_dir = nullptr;
     CpuId _cpuId = 0;
 };
 
@@ -247,12 +266,16 @@ Hierarchy::access(PAddr pa, AccessType type)
     if (l2_result.filled) {
         if (l2_result.victim.valid) {
             invalidateL1Range(l2_result.victim.lineAddr);
+            if (_dir)
+                _dir->remove(l2_result.victim.lineAddr, _cpuId);
             if (_observer)
                 _observer->onL2Replace(_cpuId, _l2.lineAlign(pa),
                                        l2_result.victim.lineAddr);
         } else if (_observer) {
             _observer->onL2Fill(_cpuId, _l2.lineAlign(pa));
         }
+        if (_dir)
+            _dir->add(pa, _cpuId);
     }
     outcome.l2Missed = !l2_result.hit;
     outcome.servicedBy = l2_result.hit ? ServicedBy::L2 : ServicedBy::Memory;

@@ -35,6 +35,8 @@ LogTable::LogTable(uint64_t max_f)
 double
 LogTable::log(double f) const
 {
+    // A NaN would pass both range tests and reach the index cast below.
+    atl_assert(std::isfinite(f), "log table argument ", f, " not finite");
     if (f <= 1.0)
         return 0.0;
     double max = static_cast<double>(maxF());

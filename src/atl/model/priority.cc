@@ -1,5 +1,7 @@
 #include "atl/model/priority.hh"
 
+#include <ostream>
+
 #include "atl/util/logging.hh"
 
 namespace atl
@@ -14,6 +16,12 @@ policyName(PolicyKind kind)
       case PolicyKind::CRT: return "CRT";
     }
     return "?";
+}
+
+void
+PrintTo(PolicyKind kind, std::ostream *os)
+{
+    *os << policyName(kind);
 }
 
 PriorityScheme::PriorityScheme(PolicyKind kind, const FootprintModel &model)

@@ -26,6 +26,7 @@
 #define ATL_MODEL_PRIORITY_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 
 #include "atl/model/footprint_model.hh"
@@ -43,6 +44,10 @@ enum class PolicyKind
 
 /** Human-readable policy name. */
 const char *policyName(PolicyKind kind);
+
+/** Print a policy by name. GoogleTest finds this by argument-dependent
+ *  lookup, so parameterized test names show "LFF", not raw bytes. */
+void PrintTo(PolicyKind kind, std::ostream *os);
 
 /**
  * Counts floating point operations (add/sub/mul/div; table lookups are

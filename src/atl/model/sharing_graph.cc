@@ -1,6 +1,7 @@
 #include "atl/model/sharing_graph.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "atl/util/logging.hh"
 
@@ -29,6 +30,15 @@ SharingGraph::share(ThreadId src, ThreadId dst, double q)
 {
     if (src == dst)
         return;
+    if (!std::isfinite(q)) {
+        // A NaN fails both range tests below and would be stored, then
+        // reach the model's log table as an index.
+        if (const char *suffix = _nonFinite.tick()) {
+            atl_warn("non-finite sharing coefficient ", q, " for (", src,
+                     ",", dst, ") dropped", suffix);
+        }
+        return;
+    }
     if (q < 0.0 || q > 1.0) {
         // Throttled: a buggy (or fault-injected) program can emit
         // out-of-range coefficients by the thousand, and each one is

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "atl/mem/address.hh"
+#include "atl/util/throttle.hh"
 
 namespace atl
 {
@@ -50,7 +51,9 @@ class SharingGraph
      * Add or update the arc (src -> dst) with coefficient q.
      * A coefficient of exactly 0 removes the arc (it is semantically
      * identical to an unspecified arc). Values outside [0, 1] are
-     * clamped with a warning. Self-arcs are ignored: a thread trivially
+     * clamped with a warning. A non-finite q (NaN, +-inf) carries no
+     * fraction at all: the hint is dropped with a warning and the graph
+     * is left as it was. Self-arcs are ignored: a thread trivially
      * shares all of its state with itself and the model's blocking-thread
      * case already covers it.
      */
@@ -82,6 +85,9 @@ class SharingGraph
      *  emitted for the first few). */
     uint64_t clampCount() const { return _clampWarnings; }
 
+    /** Non-finite coefficients dropped so far. */
+    uint64_t nonFiniteCount() const { return _nonFinite.count(); }
+
   private:
     struct Node
     {
@@ -97,6 +103,7 @@ class SharingGraph
     std::unordered_map<ThreadId, Node> _nodes;
     size_t _edgeCount = 0;
     uint64_t _clampWarnings = 0;
+    ThrottledWarn _nonFinite;
 };
 
 } // namespace atl

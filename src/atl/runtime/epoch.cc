@@ -29,12 +29,10 @@ namespace atl
 EpochState::EpochState(Machine &machine, unsigned shard_count,
                        Cycles step_cycles)
     : shards(shard_count), step(step_cycles),
+      dir(machine._config.numCpus, machine._config.hierarchy.l2.lineBytes),
       startBarrier(static_cast<std::ptrdiff_t>(shard_count)),
       endBarrier(static_cast<std::ptrdiff_t>(shard_count))
 {
-    uint64_t line_bytes = machine._config.hierarchy.l2.lineBytes;
-    while ((uint64_t(1) << lineShift) < line_bytes)
-        ++lineShift;
     unsigned n = machine._config.numCpus;
     cpus.resize(n);
     interposers.resize(n);
@@ -166,15 +164,11 @@ Machine::epochCommit()
     // so a fill-then-evict of the same line lands correctly.
     for (CpuId c = 0; c < _config.numCpus; ++c) {
         EpochState::PerCpu &ecpu = es.cpus[c];
-        const uint64_t bit = uint64_t(1) << c;
         for (const EpochState::Delta &d : ecpu.deltas) {
-            uint64_t idx = d.line >> es.lineShift;
-            if (idx >= es.dir.size())
-                es.dir.resize(idx + 1, 0);
             if (d.fill)
-                es.dir[idx] |= bit;
+                es.dir.add(d.line, c);
             else
-                es.dir[idx] &= ~bit;
+                es.dir.remove(d.line, c);
         }
         ecpu.deltas.clear();
     }
@@ -191,9 +185,7 @@ Machine::epochCommit()
                 if (peer.id != c)
                     peer.hier->invalidateLine(pa);
             }
-            uint64_t idx = pa >> es.lineShift;
-            if (idx < es.dir.size())
-                es.dir[idx] &= uint64_t(1) << c;
+            es.dir.keepOnly(pa, c);
         }
         ecpu.invals.clear();
     }

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "atl/mem/hierarchy.hh"
+#include "atl/mem/line_directory.hh"
 #include "atl/obs/event_log.hh"
 #include "atl/runtime/machine.hh"
 
@@ -127,10 +128,7 @@ struct EpochState
     bool
     remoteCached(CpuId self_cpu, PAddr pa) const
     {
-        uint64_t idx = pa >> lineShift;
-        if (idx >= dir.size())
-            return false;
-        return (dir[idx] & ~(uint64_t(1) << self_cpu)) != 0;
+        return dir.heldByOther(pa, self_cpu);
     }
 
     /** Queue a store's peer invalidation for the next commit. */
@@ -154,15 +152,12 @@ struct EpochState
      *  barrier, read by workers after it. */
     bool done = false;
 
-    /** log2 of the E-cache line size (directory index shift). */
-    unsigned lineShift = 0;
     /**
-     * Line directory: physical line index -> bitmask of processors
-     * whose E-cache held the line as of the last commit. Physical
-     * frames are dense (bump-allocated), so a flat vector stays
-     * compact. Written only during commits.
+     * Line directory: the processors whose E-cache held each line as of
+     * the last commit (the same type the classic engine keeps current
+     * per reference). Written only during commits.
      */
-    std::vector<uint64_t> dir;
+    LineDirectory dir;
 
     /** Per-processor epoch logs. */
     std::vector<PerCpu> cpus;

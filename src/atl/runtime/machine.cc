@@ -84,7 +84,8 @@ Machine::Machine(const MachineConfig &config)
           std::max<uint64_t>(1, config.hierarchy.l2.sizeBytes /
                                     config.pageBytes),
           config.placement, config.seed),
-      _missTotals(config.numCpus, 0), _cpus(config.numCpus)
+      _missTotals(config.numCpus, 0), _cpus(config.numCpus),
+      _dir(config.numCpus, config.hierarchy.l2.lineBytes)
 {
     atl_assert(config.numCpus >= 1, "machine needs at least one cpu");
 
@@ -103,9 +104,6 @@ Machine::Machine(const MachineConfig &config)
     if (_config.laxFactor == 0)
         _config.laxFactor = 1;
     if (_config.engine == EngineKind::Epoch) {
-        atl_assert(_config.numCpus <= 64,
-                   "epoch engine supports at most 64 cpus "
-                   "(line directory is a 64-bit presence mask)");
         atl_assert(_config.epochCycles > 0,
                    "epoch engine requires a nonzero epoch length");
     }
@@ -132,6 +130,11 @@ Machine::Machine(const MachineConfig &config)
         Cpu &cpu = _cpus[c];
         cpu.id = c;
         cpu.hier = std::make_unique<Hierarchy>(config.hierarchy);
+        // The classic engine keeps the line directory current from the
+        // hierarchies themselves; epoch workers must not write shared
+        // state mid-epoch and rebuild their own at commits.
+        if (config.numCpus > 1 && _config.engine == EngineKind::Classic)
+            cpu.hier->attachDirectory(&_dir, c);
         // PIC0 = E-cache references, PIC1 = E-cache hits: the paper's
         // configuration, from which the runtime derives misses.
         cpu.perf.configure(PerfEvent::EcacheRefs, PerfEvent::EcacheHits);
@@ -440,6 +443,66 @@ Machine::access(const RefBlock &block)
     issueRuns(cpu, me, &block[0], block.size());
 }
 
+inline void
+Machine::issueRef(Cpu &cpu, Thread *attribution, PAddr pa, AccessType type,
+                  PicAcc &acc)
+{
+    HierarchyOutcome outcome = cpu.hier->access(pa, type);
+
+    Cycles cost;
+    if (!outcome.l2Referenced) {
+        cost = _config.l1HitCycles;
+    } else if (!outcome.l2Missed) {
+        cost = _config.l2HitCycles;
+    } else if (_config.numCpus == 1) {
+        cost = _config.memoryCycles;
+    } else {
+        // Only a miss asks whether a peer holds the line. The access
+        // above changed this processor's caches alone, so the answer
+        // is the one a probe before it would have given.
+        cost = remoteCached(cpu.id, pa) ? _config.memoryCyclesRemote
+                                        : _config.memoryCyclesClean;
+    }
+
+    cpu.clock += cost;
+    cpu.instructions += 1;
+    acc.dirty = true;
+    acc.instr += 1;
+    acc.cycles += cost;
+    if (type != AccessType::IFetch) {
+        acc.l1dRefs += 1;
+        if (outcome.servicedBy == ServicedBy::L1 && !outcome.l2Referenced)
+            acc.l1dHits += 1;
+    }
+    if (outcome.l2Referenced) {
+        acc.eRefs += 1;
+        if (!outcome.l2Missed) {
+            acc.eHits += 1;
+        } else {
+            acc.eMisses += 1;
+            ++_missTotals[cpu.id];
+            if (_observer) {
+                _observer->onEMiss(cpu.id, attribution ? attribution->id
+                                                       : InvalidThreadId);
+            }
+        }
+    }
+
+    if (attribution) {
+        attribution->stats.instructions += 1;
+        attribution->stats.cpuCycles += cost;
+        if (outcome.l2Referenced) {
+            attribution->stats.eRefs += 1;
+            if (outcome.l2Missed)
+                attribution->stats.eMisses += 1;
+        }
+    }
+
+    // Invalidation-based coherence: a store removes every peer copy.
+    if (type == AccessType::Store && _config.numCpus > 1)
+        invalidateRemote(cpu.id, pa);
+}
+
 void
 Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
                    uint32_t count)
@@ -447,12 +510,10 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
     ScopedPhase access_phase(HostPhase::Access);
     const uint64_t step = _config.hierarchy.l1d.lineBytes;
     const VAddr page_mask = ~(_config.pageBytes - 1);
-    const bool multi = _config.numCpus > 1;
     const Cycles quantum = _config.sliceQuantum;
-    const bool sliced = multi && quantum > 0;
+    const bool sliced = _config.numCpus > 1 && quantum > 0;
     const Cycles hit_cost = _config.l1HitCycles;
     Hierarchy &hier = *cpu.hier;
-    PerfCounters &perf = cpu.perf;
 
     // PIC deltas accumulate across the block and flush before anything
     // that could observe the counters: slice yields (another thread may
@@ -461,85 +522,13 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
     // within a block the deferral is invisible. Everything else —
     // clocks, thread stats, miss totals, observer events, coherence —
     // happens per reference in exactly the scalar order.
-    bool acc_dirty = false;
-    uint32_t acc_instr = 0;
-    Cycles acc_cycles = 0;
-    uint32_t acc_l1d_refs = 0, acc_l1d_hits = 0;
-    uint32_t acc_e_refs = 0, acc_e_hits = 0, acc_e_misses = 0;
-
-    auto flushPics = [&] {
-        if (!acc_dirty)
-            return;
-        perf.record(PerfEvent::Instructions, acc_instr);
-        perf.record(PerfEvent::Cycles,
-                    static_cast<uint32_t>(acc_cycles));
-        perf.record(PerfEvent::L1dRefs, acc_l1d_refs);
-        perf.record(PerfEvent::L1dHits, acc_l1d_hits);
-        perf.record(PerfEvent::EcacheRefs, acc_e_refs);
-        perf.record(PerfEvent::EcacheHits, acc_e_hits);
-        perf.record(PerfEvent::EcacheMisses, acc_e_misses);
-        acc_dirty = false;
-        acc_instr = 0;
-        acc_cycles = 0;
-        acc_l1d_refs = acc_l1d_hits = 0;
-        acc_e_refs = acc_e_hits = acc_e_misses = 0;
-    };
+    PicAcc acc;
 
     auto maybeYield = [&] {
         if (sliced && cpu.clock - cpu.sliceStart >= quantum) {
-            flushPics();
+            acc.flush(cpu.perf);
             sliceYield(cpu);
         }
-    };
-
-    // One full reference through the hierarchy: accessOne minus the
-    // hook (handled by the caller) with PIC recording deferred.
-    auto issueOne = [&](PAddr pa, AccessType type) {
-        bool was_remote = multi && remoteCached(cpu.id, pa);
-        HierarchyOutcome outcome = hier.access(pa, type);
-        Cycles cost;
-        if (!outcome.l2Referenced) {
-            cost = hit_cost;
-        } else if (!outcome.l2Missed) {
-            cost = _config.l2HitCycles;
-        } else if (!multi) {
-            cost = _config.memoryCycles;
-        } else {
-            cost = was_remote ? _config.memoryCyclesRemote
-                              : _config.memoryCyclesClean;
-        }
-        cpu.clock += cost;
-        cpu.instructions += 1;
-        acc_dirty = true;
-        acc_instr += 1;
-        acc_cycles += cost;
-        if (type != AccessType::IFetch) {
-            acc_l1d_refs += 1;
-            if (outcome.servicedBy == ServicedBy::L1 &&
-                !outcome.l2Referenced) {
-                acc_l1d_hits += 1;
-            }
-        }
-        if (outcome.l2Referenced) {
-            acc_e_refs += 1;
-            if (!outcome.l2Missed) {
-                acc_e_hits += 1;
-            } else {
-                acc_e_misses += 1;
-                ++_missTotals[cpu.id];
-                if (_observer)
-                    _observer->onEMiss(cpu.id, me.id);
-            }
-        }
-        me.stats.instructions += 1;
-        me.stats.cpuCycles += cost;
-        if (outcome.l2Referenced) {
-            me.stats.eRefs += 1;
-            if (outcome.l2Missed)
-                me.stats.eMisses += 1;
-        }
-        if (type == AccessType::Store && multi)
-            invalidateRemote(cpu.id, pa);
     };
 
     // Issue k consecutive references to one L1 line. Loads/ifetches
@@ -580,12 +569,12 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
                     Cycles cost = static_cast<Cycles>(n) * hit_cost;
                     cpu.clock += cost;
                     cpu.instructions += n;
-                    acc_dirty = true;
-                    acc_instr += n;
-                    acc_cycles += cost;
+                    acc.dirty = true;
+                    acc.instr += n;
+                    acc.cycles += cost;
                     if (type != AccessType::IFetch) {
-                        acc_l1d_refs += n;
-                        acc_l1d_hits += n;
+                        acc.l1dRefs += n;
+                        acc.l1dHits += n;
                     }
                     me.stats.instructions += n;
                     me.stats.cpuCycles += cost;
@@ -594,7 +583,7 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
                     continue;
                 }
             }
-            issueOne(pa, type);
+            issueRef(cpu, &me, pa, type, acc);
             --k;
             maybeYield();
         }
@@ -621,7 +610,7 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
         const RefRun &run = runs[i];
         if (run.op == RefOp::Execute) {
             flushGroup();
-            flushPics();
+            acc.flush(cpu.perf);
             executeOn(cpu, me, run.bytes);
             continue;
         }
@@ -652,7 +641,7 @@ Machine::issueRuns(Cpu &cpu, Thread &me, const RefRun *runs,
         }
     }
     flushGroup();
-    flushPics();
+    acc.flush(cpu.perf);
 }
 
 void
@@ -671,11 +660,7 @@ Machine::remoteCached(CpuId self_cpu, PAddr pa) const
     // are being mutated concurrently and must not be probed).
     if (_epoch)
         return _epoch->remoteCached(self_cpu, pa);
-    for (const Cpu &cpu : _cpus) {
-        if (cpu.id != self_cpu && cpu.hier->l2Contains(pa))
-            return true;
-    }
-    return false;
+    return _dir.heldByOther(pa, self_cpu);
 }
 
 void
@@ -687,10 +672,11 @@ Machine::invalidateRemote(CpuId self_cpu, PAddr pa)
         _epoch->queueInval(self_cpu, pa);
         return;
     }
-    for (Cpu &cpu : _cpus) {
-        if (cpu.id != self_cpu)
-            cpu.hier->invalidateLine(pa);
-    }
+    // Visit only the holders, in processor order (the order the evict
+    // events of a probe of every peer would fire in).
+    _dir.forEachOtherHolder(pa, self_cpu, [this, pa](CpuId holder) {
+        _cpus[holder].hier->invalidateLine(pa);
+    });
 }
 
 void
@@ -710,7 +696,7 @@ Machine::PicAcc::flush(PerfCounters &perf)
 
 void
 Machine::accessOne(Cpu &cpu, Thread *attribution, VAddr va,
-                   AccessType type, PicAcc *acc)
+                   AccessType type, PicAcc &acc)
 {
     if (_accessHook) {
         _accessHook(cpu.id,
@@ -724,83 +710,7 @@ Machine::accessOne(Cpu &cpu, Thread *attribution, VAddr va,
         ScopedPhase translate_phase(HostPhase::Translate);
         pa = _epoch ? epochTranslate(va) : _vm.translate(va);
     }
-
-    // For a miss that will be serviced remotely we must know whether a
-    // peer cache holds the line *before* our access fills it.
-    bool was_remote = _config.numCpus > 1 && remoteCached(cpu.id, pa);
-
-    HierarchyOutcome outcome = cpu.hier->access(pa, type);
-
-    Cycles cost;
-    if (!outcome.l2Referenced) {
-        cost = _config.l1HitCycles;
-    } else if (!outcome.l2Missed) {
-        cost = _config.l2HitCycles;
-    } else if (_config.numCpus == 1) {
-        cost = _config.memoryCycles;
-    } else {
-        cost = was_remote ? _config.memoryCyclesRemote
-                          : _config.memoryCyclesClean;
-    }
-
-    cpu.clock += cost;
-    cpu.instructions += 1;
-    if (acc) {
-        acc->dirty = true;
-        acc->instr += 1;
-        acc->cycles += cost;
-        if (type != AccessType::IFetch) {
-            acc->l1dRefs += 1;
-            if (outcome.servicedBy == ServicedBy::L1 &&
-                !outcome.l2Referenced) {
-                acc->l1dHits += 1;
-            }
-        }
-        if (outcome.l2Referenced) {
-            acc->eRefs += 1;
-            if (!outcome.l2Missed)
-                acc->eHits += 1;
-            else
-                acc->eMisses += 1;
-        }
-    } else {
-        cpu.perf.record(PerfEvent::Instructions);
-        cpu.perf.record(PerfEvent::Cycles, static_cast<uint32_t>(cost));
-        if (type != AccessType::IFetch) {
-            cpu.perf.record(PerfEvent::L1dRefs);
-            if (outcome.servicedBy == ServicedBy::L1 &&
-                !outcome.l2Referenced)
-                cpu.perf.record(PerfEvent::L1dHits);
-        }
-        if (outcome.l2Referenced) {
-            cpu.perf.record(PerfEvent::EcacheRefs);
-            if (!outcome.l2Missed)
-                cpu.perf.record(PerfEvent::EcacheHits);
-            else
-                cpu.perf.record(PerfEvent::EcacheMisses);
-        }
-    }
-    if (outcome.l2Referenced && outcome.l2Missed) {
-        ++_missTotals[cpu.id];
-        if (_observer) {
-            _observer->onEMiss(cpu.id, attribution ? attribution->id
-                                                   : InvalidThreadId);
-        }
-    }
-
-    if (attribution) {
-        attribution->stats.instructions += 1;
-        attribution->stats.cpuCycles += cost;
-        if (outcome.l2Referenced) {
-            attribution->stats.eRefs += 1;
-            if (outcome.l2Missed)
-                attribution->stats.eMisses += 1;
-        }
-    }
-
-    // Invalidation-based coherence: a store removes every peer copy.
-    if (type == AccessType::Store && _config.numCpus > 1)
-        invalidateRemote(cpu.id, pa);
+    issueRef(cpu, attribution, pa, type, acc);
 }
 
 void
@@ -815,7 +725,7 @@ Machine::accessRange(Cpu &cpu, Thread *attribution, VAddr va,
     // slice yield so whatever runs next observes settled counters.
     PicAcc acc;
     for (VAddr a = first; a <= last; a += step) {
-        accessOne(cpu, attribution, a, type, &acc);
+        accessOne(cpu, attribution, a, type, acc);
         if (attribution && _config.numCpus > 1 &&
             _config.sliceQuantum > 0 &&
             cpu.clock - cpu.sliceStart >= _config.sliceQuantum) {
@@ -874,6 +784,46 @@ Machine::chooseCpu() const
             best = cpu.id;
     }
     return best;
+}
+
+void
+Machine::parkIdle(Cpu &cpu)
+{
+    Cycles min_other = ~Cycles(0);
+    for (const Cpu &c : _cpus) {
+        if (c.id != cpu.id)
+            min_other = std::min(min_other, c.clock);
+    }
+    cpu.clock = std::max(cpu.clock + 1, min_other + 1);
+}
+
+void
+Machine::replayIdlePasses()
+{
+    // A mid-run crash roll depends on the clock of every pass, so a
+    // fault plan that can fire one keeps every pass in the main loop.
+    if (_config.faults && _config.faults->cycleCrashArmed())
+        return;
+    // The processor that just parked failed pickNext(): its heap held
+    // nothing valid, the global queue is now empty, and no busy peer
+    // had a valid entry to steal. Nothing but clocks changes while the
+    // engine keeps parking, so the next processor chosen fails too
+    // when it is idle with an empty heap (stale entries included: a
+    // pop would count heap work) and no timer wakes at its clock. Its
+    // steal scan covers busy peers only, a subset of the last scan.
+    // Park it directly, as the main loop would after that failed call.
+    for (;;) {
+        Cpu &cpu = _cpus[chooseCpu()];
+        if (cpu.current || _scheduler->heapSize(cpu.id) != 0)
+            return;
+        if (!_timers.empty() && _timers.topKey().first <= cpu.clock)
+            return;
+        if (safePointDue(cpu.clock))
+            return;
+        _scheduler->noteIdlePass(cpu.id);
+        ++_idlePassesReplayed;
+        parkIdle(cpu);
+    }
 }
 
 void
@@ -1280,15 +1230,9 @@ Machine::run()
                 if (_scheduler->runnableCount() > 0) {
                     // Runnable work exists, but only in an *idle*
                     // peer's heap: that peer will dispatch it locally
-                    // at this same instant. Park: spin this
-                    // processor's clock just past the laggard peer so
-                    // the engine serves the peer next.
-                    Cycles min_other = ~Cycles(0);
-                    for (const Cpu &c : _cpus) {
-                        if (c.id != cpu.id)
-                            min_other = std::min(min_other, c.clock);
-                    }
-                    cpu.clock = std::max(cpu.clock + 1, min_other + 1);
+                    // at this same instant.
+                    parkIdle(cpu);
+                    replayIdlePasses();
                     continue;
                 }
                 if (!_timers.empty()) {

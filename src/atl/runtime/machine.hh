@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "atl/mem/hierarchy.hh"
+#include "atl/mem/line_directory.hh"
 #include "atl/mem/refblock.hh"
 #include "atl/mem/vm.hh"
 #include "atl/model/footprint_model.hh"
@@ -306,6 +307,17 @@ class Machine
     /** One processor's cache hierarchy (read-only). */
     const Hierarchy &hierarchy(CpuId cpu) const;
 
+    /** Holders of every E-cache line, kept by the hierarchies under
+     *  the classic engine on a multiprocessor (empty otherwise: one
+     *  processor has no peers, and the epoch engine keeps its own
+     *  commit-time directory). */
+    const LineDirectory &lineDirectory() const { return _dir; }
+
+    /** Engine passes in which an idle processor parked without calling
+     *  the scheduler, because its pickNext() could only have failed as
+     *  the previous processor's just did (see run()). */
+    uint64_t idlePassesReplayed() const { return _idlePassesReplayed; }
+
     /** One processor's performance counters. */
     PerfCounters &perf(CpuId cpu);
 
@@ -475,10 +487,18 @@ class Machine
         void flush(PerfCounters &perf);
     };
 
-    /** One modelled reference plus all its consequences. PIC updates
-     *  go through `acc` when given (the caller flushes). */
+    /** One modelled reference plus all its consequences: the access
+     *  hook, translation, then issueRef(). PIC updates go through
+     *  `acc` (the caller flushes). */
     void accessOne(Cpu &cpu, Thread *attribution, VAddr va,
-                   AccessType type, PicAcc *acc = nullptr);
+                   AccessType type, PicAcc &acc);
+
+    /** The per-reference body shared by accessOne() and the batched
+     *  pipeline: hierarchy access, cycle cost, PIC accumulation, miss
+     *  totals, observer, thread stats and store coherence for one
+     *  translated reference. Peers are probed only on an E-miss. */
+    inline void issueRef(Cpu &cpu, Thread *attribution, PAddr pa,
+                         AccessType type, PicAcc &acc);
 
     /** Issue references covering a range at L1-line granularity. */
     void accessRange(Cpu &cpu, Thread *attribution, VAddr va,
@@ -507,6 +527,15 @@ class Machine
 
     /** Engine: pick the processor to advance next. */
     CpuId chooseCpu() const;
+
+    /** Engine: an idle processor found nothing it may dispatch while
+     *  an idle peer holds runnable work; move its clock just past the
+     *  laggard peer so the engine serves the peer next. */
+    void parkIdle(Cpu &cpu);
+
+    /** Engine: after a park, park every following idle processor whose
+     *  pickNext() would fail the same way, advancing only clocks. */
+    void replayIdlePasses();
 
     /** Engine: wake sleeping threads whose deadline has passed. */
     void wakeDueTimers(Cycles time);
@@ -593,6 +622,10 @@ class Machine
     std::vector<uint64_t> _missTotals;
     std::unique_ptr<Scheduler> _scheduler;
     std::vector<Cpu> _cpus;
+    /** Classic-engine line holders (see lineDirectory()). */
+    LineDirectory _dir;
+    /** Idle passes replayed by replayIdlePasses(). */
+    uint64_t _idlePassesReplayed = 0;
     /** Registry handles, valid only when _config.metrics is set. */
     MetricIds _metricIds{};
     Fiber _engineFiber;

@@ -85,6 +85,9 @@ struct DegradationStats
     /** Fault events the active FaultInjector reported for this run
      *  (filled in by the experiment driver, not the scheduler). */
     uint64_t faultEvents = 0;
+    /** at_share() hints dropped for a non-finite coefficient (filled
+     *  in by the experiment driver from the sharing graph). */
+    uint64_t droppedHints = 0;
 
     bool operator==(const DegradationStats &) const = default;
 };
@@ -161,6 +164,19 @@ class Scheduler
      * runnable set.
      */
     Thread *pickNext(CpuId cpu);
+
+    /**
+     * Account for a pickNext() the machine knows would fail and skips:
+     * it advances the processor's dispatch count and clears the last
+     * dispatch exactly as the failed call would have, so the
+     * fairness-bypass phase stays exact.
+     */
+    void
+    noteIdlePass(CpuId cpu)
+    {
+        ++_dispatchCount[cpu];
+        _lastDispatch = {};
+    }
 
     /** Track which processors are currently running a thread (steal
      *  victims must be busy). Maintained by the machine. */

@@ -102,6 +102,7 @@ runWorkload(Workload &workload, const MachineConfig &config, bool trace,
     for (CpuId c = 0; c < machine.numCpus(); ++c)
         metrics.schedOverheadCycles += machine.cpuStats(c).schedOverheadCycles;
     metrics.degradation = machine.scheduler().degradation();
+    metrics.degradation.droppedHints = machine.graph().nonFiniteCount();
     if (config.faults) {
         metrics.degradation.faultEvents =
             config.faults->stats().total() - faults_before;

@@ -115,10 +115,9 @@ makeSmall(const std::string &name)
     return nullptr;
 }
 
-const char *allWorkloads[] = {"tasks",  "merge",    "photo",
-                              "tsp",    "barnes",   "ocean",
-                              "water",  "raytrace", "typechecker",
-                              "random-walk"};
+const std::string allWorkloads[] = {
+    "tasks", "merge", "photo", "tsp", "barnes", "ocean", "water",
+    "raytrace", "typechecker", "random-walk"};
 
 /** FNV-1a over explicitly enumerated fields (never raw struct bytes,
  *  so padding and layout changes cannot perturb the fingerprint). */
@@ -298,7 +297,7 @@ const auto *const kWriterRegistration =
     ::testing::AddGlobalTestEnvironment(new GoldenWriter);
 
 class HotpathIdentity
-    : public ::testing::TestWithParam<std::tuple<const char *, PolicyKind>>
+    : public ::testing::TestWithParam<std::tuple<std::string, PolicyKind>>
 {};
 
 TEST_P(HotpathIdentity, MatchesCommittedFingerprint)

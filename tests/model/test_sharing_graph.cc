@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -241,6 +242,26 @@ TEST(SharingGraphTest, PropertyFuzzAgainstShadowModel)
     checkInvariants();
     EXPECT_GT(g.clampCount(), 0u);
     setLogThrowMode(false);
+}
+
+TEST(SharingGraphTest, NonFiniteCoefficientsAreDroppedNotStored)
+{
+    SharingGraph g;
+    g.share(1, 2, 0.5);
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    for (double q : bad) {
+        g.share(1, 2, q);
+        g.share(3, 4, q);
+    }
+    // The existing arc keeps its coefficient; no arc was added.
+    EXPECT_DOUBLE_EQ(g.coefficient(1, 2), 0.5);
+    EXPECT_EQ(g.edgeCount(), 1u);
+    EXPECT_EQ(g.nonFiniteCount(), 6u);
+    EXPECT_EQ(g.clampCount(), 0u);
+    g.share(1, 2, 2.0); // finite: clamped, kept
+    EXPECT_DOUBLE_EQ(g.coefficient(1, 2), 1.0);
 }
 
 } // namespace

@@ -317,13 +317,12 @@ makeSmall(const std::string &name)
     return nullptr;
 }
 
-const char *allWorkloads[] = {"tasks",  "merge",    "photo",
-                              "tsp",    "barnes",   "ocean",
-                              "water",  "raytrace", "typechecker",
-                              "random-walk"};
+const std::string allWorkloads[] = {
+    "tasks", "merge", "photo", "tsp", "barnes", "ocean", "water",
+    "raytrace", "typechecker", "random-walk"};
 
 class TelemetryTransparency
-    : public ::testing::TestWithParam<std::tuple<const char *, PolicyKind>>
+    : public ::testing::TestWithParam<std::tuple<std::string, PolicyKind>>
 {};
 
 TEST_P(TelemetryTransparency, AttachingALogNeverChangesRunMetrics)

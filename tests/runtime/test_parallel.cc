@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "atl/obs/event_log.hh"
 #include "atl/sim/experiment.hh"
@@ -100,10 +102,9 @@ makeSmall(const std::string &name)
     return nullptr;
 }
 
-const char *allWorkloads[] = {"tasks",  "merge",    "photo",
-                              "tsp",    "barnes",   "ocean",
-                              "water",  "raytrace", "typechecker",
-                              "random-walk"};
+const std::string allWorkloads[] = {
+    "tasks", "merge", "photo", "tsp", "barnes", "ocean", "water",
+    "raytrace", "typechecker", "random-walk"};
 
 /** One epoch-engine run of a small workload. */
 RunMetrics
@@ -122,7 +123,7 @@ epochRun(const std::string &name, PolicyKind policy, unsigned shards,
 }
 
 class ParallelEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char *, PolicyKind>>
+    : public ::testing::TestWithParam<std::tuple<std::string, PolicyKind>>
 {};
 
 TEST_P(ParallelEquivalence, ShardCountInvariant)

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "atl/sim/experiment.hh"
 #include "atl/workloads/barnes.hh"
@@ -97,13 +99,12 @@ makeSmall(const std::string &name)
     return nullptr;
 }
 
-const char *allWorkloads[] = {"tasks",  "merge",    "photo",
-                              "tsp",    "barnes",   "ocean",
-                              "water",  "raytrace", "typechecker",
-                              "random-walk"};
+const std::string allWorkloads[] = {
+    "tasks", "merge", "photo", "tsp", "barnes", "ocean", "water",
+    "raytrace", "typechecker", "random-walk"};
 
 class BatchEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char *, PolicyKind>>
+    : public ::testing::TestWithParam<std::tuple<std::string, PolicyKind>>
 {};
 
 TEST_P(BatchEquivalence, MetricsBitIdentical)
@@ -151,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
  * host-side optimisation there too.
  */
 class BatchEquivalenceAssoc
-    : public ::testing::TestWithParam<std::tuple<const char *, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {};
 
 TEST_P(BatchEquivalenceAssoc, MetricsBitIdenticalOffTableGeometry)

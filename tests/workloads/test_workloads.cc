@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <tuple>
 
+#include "atl/fault/fault.hh"
 #include "atl/sim/experiment.hh"
 #include "atl/workloads/barnes.hh"
 #include "atl/workloads/mergesort.hh"
@@ -95,15 +101,14 @@ makeWorkload(const std::string &name)
     return nullptr;
 }
 
-const char *allWorkloads[] = {"tasks",  "merge", "photo",
-                              "tsp",    "barnes", "ocean",
-                              "water",  "raytrace", "typechecker",
-                              "random-walk"};
+const std::string allWorkloads[] = {
+    "tasks", "merge", "photo", "tsp", "barnes", "ocean", "water",
+    "raytrace", "typechecker", "random-walk"};
 
 /** (workload, policy, cpus) correctness sweep. */
 class WorkloadSweep
     : public ::testing::TestWithParam<
-          std::tuple<const char *, PolicyKind, unsigned>>
+          std::tuple<std::string, PolicyKind, unsigned>>
 {};
 
 TEST_P(WorkloadSweep, VerifiesUnderPolicy)
@@ -139,9 +144,221 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<2>(info.param)) + "cpu";
     });
 
+/**
+ * The classic engine's line directory equals the union of the E-caches
+ * it describes: every resident line has its holder bit, and no other
+ * bit is set.
+ */
+void
+expectDirectoryMatchesCaches(const Machine &machine)
+{
+    const LineDirectory &dir = machine.lineDirectory();
+    uint64_t resident = 0;
+    for (CpuId c = 0; c < machine.numCpus(); ++c) {
+        machine.hierarchy(c).l2().forEachResident([&](PAddr line) {
+            ++resident;
+            EXPECT_TRUE(dir.holds(line, c))
+                << "cpu " << c << " caches line 0x" << std::hex << line
+                << " missing from the directory";
+        });
+    }
+    EXPECT_EQ(dir.holderCount(), resident);
+}
+
+/** (workload, cpus): the directory after a full LFF run. */
+class DirectoryConsistency
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{};
+
+TEST_P(DirectoryConsistency, MatchesEveryECacheAfterTheRun)
+{
+    auto [name, n_cpus] = GetParam();
+    auto workload = makeWorkload(name);
+    ASSERT_NE(workload, nullptr);
+    MachineConfig cfg;
+    cfg.numCpus = n_cpus;
+    cfg.policy = PolicyKind::LFF;
+    Machine machine(cfg);
+    WorkloadEnv env{machine, nullptr};
+    workload->setup(env);
+    machine.run();
+    EXPECT_TRUE(workload->verify());
+    EXPECT_GT(machine.lineDirectory().holderCount(), 0u);
+    expectDirectoryMatchesCaches(machine);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloadsOnSmp, DirectoryConsistency,
+    ::testing::Combine(::testing::ValuesIn(allWorkloads),
+                       ::testing::Values(4u, 8u)),
+    [](const auto &info) {
+        std::string label = std::get<0>(info.param);
+        for (char &c : label)
+            if (c == '-')
+                c = '_';
+        return label + "_" + std::to_string(std::get<1>(info.param)) +
+               "cpu";
+    });
+
+/** merge on 8 cpus under LFF; returns the idle passes replayed. */
+uint64_t
+runMergeOnEight(FaultInjector *faults, RunMetrics &out)
+{
+    auto workload = makeWorkload("merge");
+    MachineConfig cfg;
+    cfg.numCpus = 8;
+    cfg.policy = PolicyKind::LFF;
+    cfg.faults = faults;
+    Machine machine(cfg);
+    WorkloadEnv env{machine, nullptr};
+    workload->setup(env);
+    machine.run();
+    out.makespan = machine.makespan();
+    out.eMisses = machine.totalEMisses();
+    out.eRefs = machine.totalERefs();
+    out.instructions = machine.totalInstructions();
+    out.contextSwitches = machine.totalSwitches();
+    out.verified = workload->verify();
+    return machine.idlePassesReplayed();
+}
+
+TEST(WorkloadTest, IdlePassReplayIsExercisedAndExact)
+{
+    // merge's fork tree leaves processors idle while a peer's heap
+    // holds the next child, so the engine replays idle passes here.
+    RunMetrics replayed;
+    EXPECT_GT(runMergeOnEight(nullptr, replayed), 0u);
+    EXPECT_TRUE(replayed.verified);
+
+    // An armed mid-run crash surface that can never fire keeps every
+    // pass in the main loop: the replay is off and the run must still
+    // be bit-identical.
+    FaultPlan plan;
+    plan.jobCrashAtCycle = ~Cycles(0);
+    FaultInjector injector(plan, 7);
+    ASSERT_TRUE(injector.cycleCrashArmed());
+    RunMetrics stepped;
+    EXPECT_EQ(runMergeOnEight(&injector, stepped), 0u);
+    EXPECT_EQ(stepped.makespan, replayed.makespan);
+    EXPECT_EQ(stepped.eMisses, replayed.eMisses);
+    EXPECT_EQ(stepped.eRefs, replayed.eRefs);
+    EXPECT_EQ(stepped.instructions, replayed.instructions);
+    EXPECT_EQ(stepped.contextSwitches, replayed.contextSwitches);
+}
+
+/**
+ * Wraps a workload with an extra thread that re-annotates every live
+ * thread pair with one hostile coefficient, through the same at_share
+ * path the applications use.
+ */
+class HostileAnnotations : public Workload
+{
+  public:
+    HostileAnnotations(std::unique_ptr<Workload> inner, double q)
+        : _inner(std::move(inner)), _q(q)
+    {}
+
+    std::string name() const override { return _inner->name(); }
+    std::string description() const override
+    {
+        return _inner->description();
+    }
+    std::string parameters() const override { return _inner->parameters(); }
+    bool verify() const override { return _inner->verify(); }
+
+    void
+    setup(WorkloadEnv &env) override
+    {
+        // Spawned first, so its first round runs while the workload's
+        // threads are still live on any machine width.
+        Machine &m = env.machine;
+        const double q = _q;
+        m.spawn(
+            [&m, q] {
+                for (int round = 0; round < 40; ++round) {
+                    ThreadId self = m.self();
+                    for (ThreadId t = 0; t < m.threadCount(); ++t) {
+                        if (t == self ||
+                            m.thread(t).state == ThreadState::Exited)
+                            continue;
+                        m.share(self, t, q);
+                        m.share(t, self, q);
+                    }
+                    m.yield();
+                }
+            },
+            "annotator");
+        _inner->setup(env);
+    }
+
+  private:
+    std::unique_ptr<Workload> _inner;
+    double _q;
+};
+
+/** A hostile at_share coefficient and its test-name label. */
+struct HostileQ
+{
+    const char *label;
+    double q;
+};
+
+void
+PrintTo(const HostileQ &h, std::ostream *os)
+{
+    *os << h.label;
+}
+
+const HostileQ hostileQs[] = {
+    {"nan", std::numeric_limits<double>::quiet_NaN()},
+    {"inf", std::numeric_limits<double>::infinity()},
+    {"neg_inf", -std::numeric_limits<double>::infinity()},
+    {"neg_zero", -0.0},
+    {"denormal", std::numeric_limits<double>::denorm_min()},
+    {"one_minus_eps", std::nextafter(1.0, 0.0)},
+    {"one_plus_eps", std::nextafter(1.0, 2.0)},
+    {"huge", 1e300},
+};
+
+/** (q, workload, policy, cpus): a hostile coefficient ends in a clean,
+ *  verified run; a non-finite one is dropped and counted. */
+class HostileShareCoefficient
+    : public ::testing::TestWithParam<
+          std::tuple<HostileQ, std::string, PolicyKind, unsigned>>
+{};
+
+TEST_P(HostileShareCoefficient, RunStaysCleanAndCountsDroppedHints)
+{
+    auto [hostile, name, policy, n_cpus] = GetParam();
+    HostileAnnotations workload(makeWorkload(name), hostile.q);
+    MachineConfig cfg;
+    cfg.numCpus = n_cpus;
+    cfg.policy = policy;
+    RunMetrics r = runWorkload(workload, cfg, false);
+    EXPECT_TRUE(r.verified);
+    EXPECT_GT(r.makespan, 0u);
+    if (std::isfinite(hostile.q))
+        EXPECT_EQ(r.degradation.droppedHints, 0u);
+    else
+        EXPECT_GT(r.degradation.droppedHints, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonFiniteAndEdgeValues, HostileShareCoefficient,
+    ::testing::Combine(::testing::ValuesIn(hostileQs),
+                       ::testing::Values("merge", "tsp"),
+                       ::testing::Values(PolicyKind::LFF, PolicyKind::CRT),
+                       ::testing::Values(1u, 8u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).label) + "_" +
+               std::get<1>(info.param) + "_" +
+               policyName(std::get<2>(info.param)) + "_" +
+               std::to_string(std::get<3>(info.param)) + "cpu";
+    });
+
 TEST(WorkloadMetaTest, DescriptionsAndParameters)
 {
-    for (const char *name : allWorkloads) {
+    for (const std::string &name : allWorkloads) {
         auto w = makeWorkload(name);
         ASSERT_NE(w, nullptr);
         EXPECT_EQ(w->name(), name);
