@@ -27,15 +27,14 @@ main()
                  "42-cycle E-miss)\n\n";
     WallTimer timer;
     SweepOutcome outcome;
-    FabricOutcome fabric;
-    std::vector<MatrixRow> rows = runMatrix(1, failures, &outcome, &fabric);
+    std::vector<MatrixRow> rows = runMatrix(1, failures, &outcome);
     // Host time goes to stderr: stdout is the deterministic capture
     // that scripts/regen_results.sh compares with results/*.txt.
     std::cerr << "matrix swept in " << timer.seconds() << " s on "
               << SweepRunner::defaultJobs() << " worker(s)\n";
     printCharts("1-cpu Ultra-1", rows);
     writeMatrixReport("bench_fig8_uniprocessor", "1-cpu Ultra-1", 1,
-                      outcome, fabric.workers ? &fabric : nullptr);
+                      outcome);
 
     for (const MatrixRow &r : rows) {
         double lff_elim = RunMetrics::missesEliminated(r.fcfs, r.lff);

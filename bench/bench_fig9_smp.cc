@@ -22,15 +22,13 @@ main()
                  "model, 50/80-cycle E-miss)\n\n";
     WallTimer timer;
     SweepOutcome outcome;
-    FabricOutcome fabric;
-    std::vector<MatrixRow> rows = runMatrix(8, failures, &outcome, &fabric);
+    std::vector<MatrixRow> rows = runMatrix(8, failures, &outcome);
     // Host time goes to stderr: stdout is the deterministic capture
     // that scripts/regen_results.sh compares with results/*.txt.
     std::cerr << "matrix swept in " << timer.seconds() << " s on "
               << SweepRunner::defaultJobs() << " worker(s)\n";
     printCharts("8-cpu E5000", rows);
-    writeMatrixReport("bench_fig9_smp", "8-cpu E5000", 8, outcome,
-                      fabric.workers ? &fabric : nullptr);
+    writeMatrixReport("bench_fig9_smp", "8-cpu E5000", 8, outcome);
 
     for (const MatrixRow &r : rows) {
         double crt_elim = RunMetrics::missesEliminated(r.fcfs, r.crt);

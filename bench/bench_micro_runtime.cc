@@ -10,21 +10,16 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <filesystem>
-#include <iostream>
-#include <string>
-#include <vector>
 
 #include "atl/obs/event_log.hh"
 #include "atl/obs/metrics.hh"
-#include "atl/runtime/checkpoint.hh"
 #include "atl/runtime/context.hh"
 #include "atl/runtime/machine.hh"
 #include "atl/runtime/refbatch.hh"
 #include "atl/sim/experiment.hh"
-#include "atl/sim/sweep.hh"
 #include "atl/sim/tracer.hh"
 #include "atl/workloads/tasks.hh"
+#include "gbench_main.hh"
 
 using namespace atl;
 
@@ -194,57 +189,6 @@ BM_HotPathRefThroughputMetrics(benchmark::State &state)
         registry.counterTotal("machine.intervals"));
 }
 BENCHMARK(BM_HotPathRefThroughputMetrics)->Iterations(1);
-
-void
-BM_HotPathRefThroughputCheckpoint(benchmark::State &state)
-{
-    // The same stream with the checkpoint safe-point layer ARMED: the
-    // check is one global load plus a compare per commit boundary
-    // (runtime/checkpoint.hh), never per reference, and the sink below
-    // counts boundary visits instead of forking — so this isolates the
-    // polling overhead the supervised child pays. perf_gate.sh holds
-    // it within 2% of BM_HotPathRefThroughput; a regression here means
-    // someone moved the check into the per-ref path. (Fork cost is
-    // paid per checkpointCycles, amortised to noise; this stream's
-    // single thread reaches only a handful of boundaries, which is the
-    // invariant — boundaries scale with scheduling, not references.)
-    struct CountingSink final : SafePointSink
-    {
-        uint64_t visits = 0;
-        uint64_t cadence = 65536;
-        void reached(Cycles now) override
-        {
-            ++visits;
-            setSafePointDue(now + cadence, ~Cycles(0));
-        }
-    } sink;
-    installSafePoint(&sink, 0, ~Cycles(0));
-    MachineConfig cfg;
-    cfg.modelSchedulerFootprint = false;
-    Machine m(cfg);
-    constexpr uint64_t lines = 4096;
-    constexpr uint64_t target = 4000000;
-    VAddr va = m.alloc(lines * 64, 64);
-    m.spawn([&] {
-        RefBatch batch(m);
-        for (uint64_t i = 0; i < target; ++i)
-            batch.read(va + (i % lines) * 64, 4);
-    });
-    auto t0 = std::chrono::steady_clock::now();
-    m.run();
-    auto dt = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    uninstallSafePoint();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dt);
-    state.counters["refs_per_sec"] = static_cast<double>(target) / dt;
-    state.counters["ns_per_ref"] =
-        dt * 1e9 / static_cast<double>(target);
-    state.counters["safe_points_visited"] =
-        static_cast<double>(sink.visits);
-}
-BENCHMARK(BM_HotPathRefThroughputCheckpoint)->Iterations(1);
 
 void
 BM_HotPathScalarRefThroughput(benchmark::State &state)
@@ -425,33 +369,5 @@ BENCHMARK(BM_DispatchPathLff)->Iterations(1);
 int
 main(int argc, char **argv)
 {
-    // Default to a machine-readable report next to the other benches'
-    // unless the caller redirected it.
-    std::vector<char *> args(argv, argv + argc);
-    std::string out_flag, fmt_flag;
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |= std::string(argv[i]).rfind("--benchmark_out", 0) == 0;
-    if (!has_out) {
-        std::error_code ec;
-        std::filesystem::create_directories(BenchReport::resultsDir(),
-                                            ec);
-        out_flag = "--benchmark_out=" + BenchReport::resultsDir() +
-                   "/bench_micro_runtime.json";
-        fmt_flag = "--benchmark_out_format=json";
-        if (!ec) {
-            args.push_back(out_flag.data());
-            args.push_back(fmt_flag.data());
-        }
-    }
-    int n = static_cast<int>(args.size());
-    benchmark::Initialize(&n, args.data());
-    // Host timings go to stderr (and the JSON report): stdout holds
-    // only what reproduces bit-for-bit.
-    benchmark::ConsoleReporter display;
-    display.SetOutputStream(&std::cerr);
-    display.SetErrorStream(&std::cerr);
-    benchmark::RunSpecifiedBenchmarks(&display);
-    benchmark::Shutdown();
-    return 0;
+    return bench::runGoogleBenchmarks(argc, argv, "bench_micro_runtime");
 }

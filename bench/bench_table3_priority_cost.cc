@@ -17,13 +17,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <iostream>
-#include <string>
 #include <vector>
 
 #include "atl/model/priority.hh"
-#include "atl/sim/sweep.hh"
+#include "gbench_main.hh"
 
 using namespace atl;
 
@@ -178,31 +175,5 @@ int
 main(int argc, char **argv)
 {
     printTable3();
-    std::vector<char *> args(argv, argv + argc);
-    std::string out_flag, fmt_flag;
-    bool has_out = false;
-    for (int i = 1; i < argc; ++i)
-        has_out |= std::string(argv[i]).rfind("--benchmark_out", 0) == 0;
-    if (!has_out) {
-        std::error_code ec;
-        std::filesystem::create_directories(BenchReport::resultsDir(),
-                                            ec);
-        out_flag = "--benchmark_out=" + BenchReport::resultsDir() +
-                   "/bench_table3_priority_cost.json";
-        fmt_flag = "--benchmark_out_format=json";
-        if (!ec) {
-            args.push_back(out_flag.data());
-            args.push_back(fmt_flag.data());
-        }
-    }
-    int n = static_cast<int>(args.size());
-    benchmark::Initialize(&n, args.data());
-    // Host timings go to stderr (and the JSON report): stdout holds
-    // only what reproduces bit-for-bit.
-    benchmark::ConsoleReporter display;
-    display.SetOutputStream(&std::cerr);
-    display.SetErrorStream(&std::cerr);
-    benchmark::RunSpecifiedBenchmarks(&display);
-    benchmark::Shutdown();
-    return 0;
+    return bench::runGoogleBenchmarks(argc, argv, "bench_table3_priority_cost");
 }

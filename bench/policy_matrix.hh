@@ -17,8 +17,6 @@
 
 #include "atl/obs/event_log.hh"
 #include "atl/sim/experiment.hh"
-#include "atl/sim/fabric.hh"
-#include "atl/sim/journal.hh"
 #include "atl/sim/sweep.hh"
 #include "atl/util/table.hh"
 #include "atl/workloads/mergesort.hh"
@@ -100,26 +98,17 @@ struct MatrixRow
  * Run the full application x policy matrix on an n_cpus platform.
  * The 12 runs are independent (each builds its own machine), so they
  * execute on the sweep pool; rows come back in application order with
- * metrics identical to a serial loop. A crashed cell counts as a
+ * metrics identical to a serial loop. A cell that throws counts as a
  * failure and leaves default metrics in its row slot instead of losing
  * the whole matrix; pass outcome_out to report the partial sweep.
  */
 inline std::vector<MatrixRow>
 runMatrix(unsigned n_cpus, int &failures,
-          SweepOutcome *outcome_out = nullptr,
-          FabricOutcome *fabric_out = nullptr)
+          SweepOutcome *outcome_out = nullptr)
 {
     const char *apps[] = {"tasks", "merge", "photo", "tsp"};
     constexpr PolicyKind policies[] = {PolicyKind::FCFS, PolicyKind::LFF,
                                        PolicyKind::CRT};
-
-    // ATL_FABRIC_WORKERS>=1 shards the matrix cells across forked
-    // worker processes instead of pool threads (sim/fabric.hh). The
-    // outcome is bit-identical either way; only crash blast radius and
-    // wall time differ.
-    const char *fabric_env = std::getenv("ATL_FABRIC_WORKERS");
-    bool use_fabric = fabric_env && *fabric_env &&
-                      std::strtoul(fabric_env, nullptr, 10) >= 1;
 
     // ATL_TRACE=1 attaches an event log to the first application's run
     // under each policy; the sweep engine prints their
@@ -127,15 +116,6 @@ runMatrix(unsigned n_cpus, int &failures,
     // here so they outlive the sweep that fills and summarises them.
     const char *trace_env = std::getenv("ATL_TRACE");
     bool trace = trace_env && *trace_env && std::string(trace_env) != "0";
-    if (trace && use_fabric) {
-        // A per-job EventLog fills inside a worker process and cannot
-        // cross the pipe; refuse the combination instead of printing
-        // twelve empty summaries.
-        std::cerr << "warning: ATL_TRACE is ignored under "
-                     "ATL_FABRIC_WORKERS (traces cannot cross the "
-                     "worker process boundary)\n";
-        trace = false;
-    }
     std::vector<std::unique_ptr<EventLog>> logs;
 
     std::vector<SweepJob> jobs;
@@ -160,64 +140,10 @@ runMatrix(unsigned n_cpus, int &failures,
         }
     }
 
-    // The crash-resilience knobs (isolation, timeout, retries, journal)
-    // come from the environment so every matrix bench honours them
-    // uniformly: ATL_ISOLATE=1 forks each attempt, ATL_JOURNAL=1
-    // journals completed cells so an interrupted matrix resumes.
-    SweepOptions options = sweepOptionsFromEnv();
-    // Job names encode app x policy but not the workload parameters or
-    // platform width, so fold those into the fingerprint: editing
-    // makeTable4Workload (or the machine) invalidates a stale journal
-    // or fabric shard instead of replaying its old metrics as current
-    // results.
-    std::string fingerprint = std::to_string(n_cpus) + "cpu";
-    for (const char *app : apps) {
-        fingerprint += ";" + std::string(app) + "{" +
-                       makeTable4Workload(app)->parameters() + "}";
-    }
-    std::unique_ptr<SweepJournal> journal;
-    const char *journal_env = std::getenv("ATL_JOURNAL");
-    if (!use_fabric && journal_env && *journal_env &&
-        std::string(journal_env) != "0") {
-        journal = std::make_unique<SweepJournal>(
-            "matrix_" + std::to_string(n_cpus) + "cpu");
-        options.journal = journal.get();
-        options.configFingerprint = fingerprint;
-    }
-
-    SweepOutcome outcome;
-    FabricOutcome fabric_outcome;
-    if (use_fabric) {
-        FabricOptions fabric_options;
-        fabric_options.cell = options;
-        fabric_options.benchName =
-            "matrix_" + std::to_string(n_cpus) + "cpu";
-        fabric_options.configFingerprint = fingerprint;
-        fabric_options = fabricOptionsFromEnv(fabric_options);
-        fabric_outcome = runFabric(jobs, fabric_options);
-        std::cout << "fabric: " << fabric_outcome.workers
-                  << " worker(s), " << fabric_outcome.stolenRuns
-                  << " stolen run(s), "
-                  << fabric_outcome.workerFailures.size()
-                  << " worker death(s), " << fabric_outcome.mergedFromShards
-                  << " cell(s) resumed from shards\n";
-        outcome = fabric_outcome.sweep;
-    } else {
-        SweepRunner runner;
-        outcome = runner.runCollect(jobs, options);
-    }
-    if (fabric_out)
-        *fabric_out = fabric_outcome;
+    SweepOutcome outcome = SweepRunner().runCollect(jobs);
     for (const SweepJobFailure &f : outcome.failures) {
         std::cerr << "FAIL: job '" << f.name << "' " << f.message
                   << "\n";
-        ++failures;
-    }
-    if (outcome.interrupted) {
-        std::cerr << "INTERRUPTED: matrix stopped early; "
-                  << outcome.resumedRuns()
-                  << " cell(s) were replayed from the journal and the "
-                     "rest resume on the next run\n";
         ++failures;
     }
 
@@ -253,16 +179,12 @@ runMatrix(unsigned n_cpus, int &failures,
 inline void
 writeMatrixReport(const std::string &bench_name,
                   const std::string &platform, unsigned n_cpus,
-                  const SweepOutcome &outcome,
-                  const FabricOutcome *fabric = nullptr)
+                  const SweepOutcome &outcome)
 {
     BenchReport report(bench_name);
     report.set("platform", Json(platform));
     report.set("num_cpus", Json(static_cast<uint64_t>(n_cpus)));
-    if (fabric)
-        noteFabricReport(report, *fabric);
-    else
-        report.noteOutcome(outcome);
+    report.noteOutcome(outcome);
     std::string path = report.write();
     if (!path.empty())
         std::cerr << "wrote " << path << "\n";

@@ -4,7 +4,7 @@
 # non-zero on the first failed shape check.
 #
 # Usage: check.sh [--jobs N] [--perf] [--asan] [--parallel] [--trace]
-#                  [--crash] [--fabric] [--hot] [--metrics] [--checkpoint]
+#                  [--hot] [--metrics]
 #   --jobs N   worker threads per bench sweep (exported as
 #              ATL_SWEEP_JOBS; default: all cores)
 #   --perf     also run scripts/perf_gate.sh (hot-path throughput
@@ -23,8 +23,8 @@
 #   --trace    build, then run the fig5 bench with ATL_TRACE_POLICY=all
 #              and validate every exported Perfetto trace (well-formed
 #              trace_event JSON, monotonic ts per track, non-negative
-#              slice durations) plus the report's schema-4 telemetry
-#              keys, then exit (other benches are skipped)
+#              slice durations) plus the report's telemetry keys, then
+#              exit (other benches are skipped)
 #   --hot      the hot-path bundle: run the perf gate (which writes
 #              results/BENCH_hotpath.json), validate that report and
 #              the committed baseline against the v2 schema (host_cpus
@@ -32,42 +32,11 @@
 #              race checks that guard the hot-path data structures —
 #              the full test suite under ASan/UBSan and the epoch
 #              equivalence suite under TSan — and exit
-#   --crash    build, then exercise crash isolation end to end: run the
-#              crash-fault matrix (forked attempts, SIGSEGV / abort /
-#              silent _exit / spin faults) and require a complete
-#              report; then SIGKILL the sweep halfway through, resume
-#              it from the durable journal, and diff the resumed report
-#              against the clean one (modulo host timing); then exit
-#   --checkpoint
-#              build, then exercise mid-cell checkpoint/restore end to
-#              end: a clean run of the crash matrix must show the
-#              checkpointed column resuming (schema-8
-#              checkpoint_resumes / checkpoint_cycles_saved > 0 plus
-#              sweep_checkpoints / sweep_ckpt_resumes telemetry
-#              counts); then SIGKILL the sweep after 5 cells with
-#              ATL_CKPT_CYCLES armed, resume from the journal, and the
-#              resumed report must match the clean one cell for cell
-#              (modulo host timing) with identical checkpoint
-#              accounting; then exit
-#   --fabric   build, then exercise the distributed sweep fabric end to
-#              end: a clean multi-worker run, a chaos run (seeded worker
-#              self-kills plus a deterministic SIGKILL at cell 5), and a
-#              coordinator-crash + resume pair (SIGKILL the whole fabric
-#              after 5 cells, rerun, recover the rest from the fsync'd
-#              worker shards). Every report's runs must match the clean
-#              one modulo host timing, carry the schema-8 fabric keys,
-#              and the resumed run must leave no shards behind; then
-#              exit
-#   --metrics  build, then exercise the metrics layer end to end: a
-#              fabric run under ATL_FABRIC_WORKERS with
-#              ATL_FABRIC_STATUS=1 must stream "atl-fabric:" status
-#              lines and embed a merged schema-8 "metrics" object
-#              (counters / gauges / histograms) in its report; then the
-#              observability overhead gate — BM_HotPathRefThroughput
-#              with a metrics registry and the phase profiler on must
-#              stay within 2% of the plain run (self-relative,
-#              best-of-N, confirmed over a second round before
-#              failing); then exit
+#   --metrics  build, then run the observability overhead gate:
+#              BM_HotPathRefThroughput with a metrics registry and the
+#              phase profiler on must stay within 2% of the plain run
+#              (self-relative, best-of-N, confirmed over a second round
+#              before failing); then exit
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,11 +44,8 @@ RUN_PERF=0
 RUN_ASAN=0
 RUN_PARALLEL=0
 RUN_TRACE=0
-RUN_CRASH=0
-RUN_FABRIC=0
 RUN_HOT=0
 RUN_METRICS=0
-RUN_CKPT=0
 
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -108,24 +74,12 @@ while [ $# -gt 0 ]; do
         RUN_TRACE=1
         shift
         ;;
-      --crash)
-        RUN_CRASH=1
-        shift
-        ;;
-      --fabric)
-        RUN_FABRIC=1
-        shift
-        ;;
       --hot)
         RUN_HOT=1
         shift
         ;;
       --metrics)
         RUN_METRICS=1
-        shift
-        ;;
-      --checkpoint)
-        RUN_CKPT=1
         shift
         ;;
       *)
@@ -286,8 +240,8 @@ for tag in ("fcfs", "lff", "crt"):
         print(f"{path}: OK ({len(events)} events)")
 
 report = json.load(open("results/bench_fig5_footprints.json"))
-if report.get("schema") != 8:
-    print(f"fig5 report: schema is {report.get('schema')!r}, expected 8",
+if report.get("schema") != 9:
+    print(f"fig5 report: schema is {report.get('schema')!r}, expected 9",
           file=sys.stderr)
     failed = 1
 telemetry = report.get("telemetry")
@@ -309,403 +263,9 @@ PYEOF
     exit 0
 fi
 
-if [ "$RUN_CRASH" -eq 1 ]; then
-    cmake -B build -G Ninja
-    cmake --build build
-
-    report=results/bench_crash_matrix.json
-    journal=results/bench_crash_matrix.journal.jsonl
-
-    echo "==== crash containment: crash-fault matrix under isolation"
-    rm -f "$journal"
-    build/bench/bench_crash_matrix
-    cp "$report" results/bench_crash_matrix.clean.json
-
-    echo "==== journal resume: SIGKILL the sweep after 5 cells, rerun"
-    rm -f "$journal"
-    rc=0
-    ATL_SWEEP_KILL_AFTER=5 build/bench/bench_crash_matrix || rc=$?
-    if [ "$rc" -eq 0 ]; then
-        echo "kill run: expected the sweep to die, but it exited 0" >&2
-        exit 1
-    fi
-    echo "kill run: exited $rc as expected"
-    if [ ! -s "$journal" ]; then
-        echo "kill run: no journal survived at $journal" >&2
-        exit 1
-    fi
-    build/bench/bench_crash_matrix
-
-    python3 - "$report" results/bench_crash_matrix.clean.json <<'PYEOF'
-import json, sys
-
-resumed = json.load(open(sys.argv[1]))
-clean = json.load(open(sys.argv[2]))
-
-if resumed.get("resumed_runs", 0) < 1:
-    print("resume run: report shows no resumed cells", file=sys.stderr)
-    sys.exit(1)
-for tag, doc in (("clean", clean), ("resumed", resumed)):
-    if doc.get("complete") is not True:
-        print(f"{tag} run: sweep incomplete: {doc.get('failed_runs')}",
-              file=sys.stderr)
-        sys.exit(1)
-
-# The resumed sweep must reproduce the clean sweep cell for cell;
-# only host-timing diagnostics may differ between the two machines'
-# worth of wall clock.
-host_keys = ("host_seconds", "refs_per_sec", "batch_occupancy",
-             "refs_issued", "ref_blocks")
-clean_runs = clean.get("runs", [])
-resumed_runs = resumed.get("runs", [])
-if len(clean_runs) != len(resumed_runs):
-    print(f"run count differs: clean {len(clean_runs)} vs "
-          f"resumed {len(resumed_runs)}", file=sys.stderr)
-    sys.exit(1)
-for i, (a, b) in enumerate(zip(clean_runs, resumed_runs)):
-    a = {k: v for k, v in a.items() if k not in host_keys}
-    b = {k: v for k, v in b.items() if k not in host_keys}
-    if a != b:
-        diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-        print(f"cell {i} differs after resume: {sorted(diff)}",
-              file=sys.stderr)
-        sys.exit(1)
-print(f"resume run OK: {resumed['resumed_runs']} cell(s) replayed "
-      f"from the journal, all {len(clean_runs)} cells match the "
-      f"clean sweep")
-PYEOF
-    if [ -e "$journal" ]; then
-        echo "resume run: journal was not removed after completion" >&2
-        exit 1
-    fi
-    rm -f results/bench_crash_matrix.clean.json
-    echo "CRASH CHECKS PASSED"
-    exit 0
-fi
-
-if [ "$RUN_CKPT" -eq 1 ]; then
-    cmake -B build -G Ninja
-    cmake --build build
-
-    report=results/bench_crash_matrix.json
-    journal=results/bench_crash_matrix.journal.jsonl
-    ckpt_journal=results/bench_crash_matrix_ckpt.journal.jsonl
-
-    echo "==== checkpoint: clean run (mid-run chaos, calibrated cadence)"
-    rm -f "$journal" "$ckpt_journal"
-    build/bench/bench_crash_matrix
-    cp "$report" results/bench_crash_matrix.clean.json
-
-    python3 - "$report" <<'PYEOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-failed = 0
-if doc.get("schema") != 8:
-    print(f"checkpoint: schema is {doc.get('schema')!r}, expected 8",
-          file=sys.stderr)
-    failed = 1
-for key in ("checkpoint_resumes", "checkpoint_cycles_saved"):
-    if not isinstance(doc.get(key), int):
-        print(f"checkpoint: report has no integer '{key}'",
-              file=sys.stderr)
-        failed = 1
-# The checkpointed column's bar: mid-run deaths resumed from a COW
-# holder instead of re-running, so simulated cycles were saved.
-if doc.get("checkpoint_resumes", 0) < 1:
-    print("checkpoint: report shows no mid-cell resumes",
-          file=sys.stderr)
-    failed = 1
-if doc.get("checkpoint_cycles_saved", 0) < 1:
-    print("checkpoint: resumes saved no simulated cycles",
-          file=sys.stderr)
-    failed = 1
-counts = doc.get("telemetry", {}).get("counts", {})
-for key in ("sweep_checkpoints", "sweep_ckpt_resumes"):
-    if counts.get(key, 0) < 1:
-        print(f"checkpoint: telemetry count '{key}' is "
-              f"{counts.get(key)!r}, expected >= 1", file=sys.stderr)
-        failed = 1
-for failure in doc.get("failed_runs", []):
-    for key in ("stalled", "checkpoint_resumes", "resumed_from_cycle"):
-        if key not in failure:
-            print(f"checkpoint: failed_runs entry is missing '{key}'",
-                  file=sys.stderr)
-            failed = 1
-if failed:
-    sys.exit(1)
-print(f"clean run OK: {doc['checkpoint_resumes']} mid-cell resume(s), "
-      f"{doc['checkpoint_cycles_saved']} simulated cycle(s) saved")
-PYEOF
-
-    echo "==== checkpoint: SIGKILL the sweep after 5 cells, then resume"
-    rm -f "$journal" "$ckpt_journal"
-    rc=0
-    ATL_SWEEP_KILL_AFTER=5 ATL_CKPT_CYCLES=20000 \
-        build/bench/bench_crash_matrix || rc=$?
-    if [ "$rc" -eq 0 ]; then
-        echo "kill run: expected the sweep to die, but it exited 0" >&2
-        exit 1
-    fi
-    echo "kill run: exited $rc as expected"
-    if [ ! -s "$journal" ]; then
-        echo "kill run: no journal survived at $journal" >&2
-        exit 1
-    fi
-    ATL_CKPT_CYCLES=20000 build/bench/bench_crash_matrix
-
-    python3 - "$report" results/bench_crash_matrix.clean.json <<'PYEOF'
-import json, sys
-
-resumed = json.load(open(sys.argv[1]))
-clean = json.load(open(sys.argv[2]))
-
-if resumed.get("resumed_runs", 0) < 1:
-    print("resume run: report shows no resumed cells", file=sys.stderr)
-    sys.exit(1)
-for tag, doc in (("clean", clean), ("resumed", resumed)):
-    if doc.get("complete") is not True:
-        print(f"{tag} run: sweep incomplete: {doc.get('failed_runs')}",
-              file=sys.stderr)
-        sys.exit(1)
-
-# Mid-cell resume accounting is simulation-deterministic (seeded
-# crashes, calibrated cadence), so the journal-resumed sweep must
-# reproduce the clean sweep's totals exactly — the journal round-trips
-# per-cell ckpt_resumes / ckpt_cycles_saved for replayed cells, and
-# ATL_CKPT_CYCLES only arms holders on the classic column's healthy
-# cells, which never resume.
-for key in ("checkpoint_resumes", "checkpoint_cycles_saved"):
-    if resumed.get(key) != clean.get(key):
-        print(f"{key} diverged after resume: clean {clean.get(key)!r} "
-              f"vs resumed {resumed.get(key)!r}", file=sys.stderr)
-        sys.exit(1)
-
-host_keys = ("host_seconds", "refs_per_sec", "batch_occupancy",
-             "refs_issued", "ref_blocks")
-clean_runs = clean.get("runs", [])
-resumed_runs = resumed.get("runs", [])
-if len(clean_runs) != len(resumed_runs):
-    print(f"run count differs: clean {len(clean_runs)} vs "
-          f"resumed {len(resumed_runs)}", file=sys.stderr)
-    sys.exit(1)
-for i, (a, b) in enumerate(zip(clean_runs, resumed_runs)):
-    a = {k: v for k, v in a.items() if k not in host_keys}
-    b = {k: v for k, v in b.items() if k not in host_keys}
-    if a != b:
-        diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-        print(f"cell {i} differs after resume: {sorted(diff)}",
-              file=sys.stderr)
-        sys.exit(1)
-print(f"resume run OK: {resumed['resumed_runs']} cell(s) replayed from "
-      f"the journal, checkpoint accounting identical "
-      f"({resumed['checkpoint_resumes']} resume(s), "
-      f"{resumed['checkpoint_cycles_saved']} cycle(s) saved)")
-PYEOF
-    for j in "$journal" "$ckpt_journal"; do
-        if [ -e "$j" ]; then
-            echo "resume run: journal $j was not removed after completion" >&2
-            exit 1
-        fi
-    done
-    rm -f results/bench_crash_matrix.clean.json
-    echo "CHECKPOINT CHECKS PASSED"
-    exit 0
-fi
-
-if [ "$RUN_FABRIC" -eq 1 ]; then
-    cmake -B build -G Ninja
-    cmake --build build
-
-    report=results/bench_fabric_matrix.json
-    shards='results/bench_fabric_matrix.fabric.w*.journal.jsonl'
-
-    # Helper: diff two fabric reports cell for cell (modulo host-timing
-    # diagnostics) and validate the schema-8 fabric keys of the first.
-    fabric_diff() {
-        python3 - "$1" "$2" "$3" "$4" <<'PYEOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-clean = json.load(open(sys.argv[2]))
-tag = sys.argv[3]
-want_deaths = sys.argv[4] == "deaths"
-
-failed = 0
-if doc.get("schema") != 8:
-    print(f"{tag}: schema is {doc.get('schema')!r}, expected 8",
-          file=sys.stderr)
-    failed = 1
-if not isinstance(doc.get("workers"), int) or doc["workers"] < 1:
-    print(f"{tag}: 'workers' is {doc.get('workers')!r}, expected a "
-          "positive count", file=sys.stderr)
-    failed = 1
-if not isinstance(doc.get("stolen_runs"), int):
-    print(f"{tag}: no 'stolen_runs' count", file=sys.stderr)
-    failed = 1
-deaths = doc.get("worker_failures")
-if not isinstance(deaths, list):
-    print(f"{tag}: no 'worker_failures' list", file=sys.stderr)
-    failed = 1
-else:
-    for d in deaths:
-        for key in ("slot", "pid", "exit_signal", "exit_code",
-                    "cells_lost"):
-            if key not in d:
-                print(f"{tag}: worker_failures entry missing '{key}'",
-                      file=sys.stderr)
-                failed = 1
-    if want_deaths and not deaths:
-        print(f"{tag}: chaos run recorded no worker deaths — the "
-              "fabric's death path was not exercised", file=sys.stderr)
-        failed = 1
-if doc.get("complete") is not True:
-    print(f"{tag}: sweep incomplete: {doc.get('failed_runs')}",
-          file=sys.stderr)
-    failed = 1
-
-host_keys = ("host_seconds", "refs_per_sec", "batch_occupancy",
-             "refs_issued", "ref_blocks")
-a_runs = clean.get("runs", [])
-b_runs = doc.get("runs", [])
-if len(a_runs) != len(b_runs):
-    print(f"{tag}: run count differs: clean {len(a_runs)} vs "
-          f"{len(b_runs)}", file=sys.stderr)
-    failed = 1
-else:
-    for i, (a, b) in enumerate(zip(a_runs, b_runs)):
-        a = {k: v for k, v in a.items() if k not in host_keys}
-        b = {k: v for k, v in b.items() if k not in host_keys}
-        if a != b:
-            diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
-            print(f"{tag}: cell {i} diverged: {sorted(diff)}",
-                  file=sys.stderr)
-            failed = 1
-if failed:
-    sys.exit(1)
-print(f"{tag}: OK — {len(b_runs)} cell(s), {doc['workers']} worker(s), "
-      f"{doc['stolen_runs']} steal(s), {len(deaths)} worker death(s), "
-      f"{doc.get('resumed_runs', 0)} resumed")
-PYEOF
-    }
-
-    echo "==== fabric: clean 3-worker run"
-    rm -f $shards
-    ATL_FABRIC_WORKERS=3 build/bench/bench_fabric_matrix
-    cp "$report" results/bench_fabric_matrix.clean.json
-    fabric_diff "$report" results/bench_fabric_matrix.clean.json \
-        "clean run" nodeaths
-
-    echo "==== fabric: chaos run (seeded self-kills + SIGKILL at cell 5)"
-    rm -f $shards
-    ATL_FABRIC_WORKERS=4 ATL_FABRIC_CHAOS=1 ATL_FABRIC_KILL_AFTER=5 \
-        build/bench/bench_fabric_matrix
-    fabric_diff "$report" results/bench_fabric_matrix.clean.json \
-        "chaos run" deaths
-
-    echo "==== fabric: coordinator crash after 5 cells, then resume"
-    rm -f $shards
-    rc=0
-    ATL_FABRIC_WORKERS=2 ATL_FABRIC_COORD_KILL_AFTER=5 \
-        build/bench/bench_fabric_matrix || rc=$?
-    if [ "$rc" -eq 0 ]; then
-        echo "coordinator kill: expected the fabric to die, got exit 0" >&2
-        exit 1
-    fi
-    echo "coordinator kill: exited $rc as expected"
-    if ! ls $shards >/dev/null 2>&1; then
-        echo "coordinator kill: no worker shards survived" >&2
-        exit 1
-    fi
-    ATL_FABRIC_WORKERS=2 build/bench/bench_fabric_matrix
-    fabric_diff "$report" results/bench_fabric_matrix.clean.json \
-        "resumed run" nodeaths
-    python3 - "$report" <<'PYEOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-if doc.get("resumed_runs", 0) < 1:
-    print("resumed run: report shows no cells recovered from shards",
-          file=sys.stderr)
-    sys.exit(1)
-PYEOF
-    if ls $shards >/dev/null 2>&1; then
-        echo "resumed run: shards were not removed after completion" >&2
-        exit 1
-    fi
-    rm -f results/bench_fabric_matrix.clean.json
-    echo "FABRIC CHECKS PASSED"
-    exit 0
-fi
-
 if [ "$RUN_METRICS" -eq 1 ]; then
     cmake -B build -G Ninja
     cmake --build build
-
-    report=results/bench_fabric_matrix.json
-    shards='results/bench_fabric_matrix.fabric.w*.journal.jsonl'
-
-    echo "==== metrics: fabric run with live status + merged registry"
-    rm -f $shards
-    status_log=$(mktemp)
-    ATL_FABRIC_WORKERS=3 ATL_FABRIC_STATUS=1 ATL_PROF=1 \
-        build/bench/bench_fabric_matrix 2> "$status_log"
-    if ! grep -q "atl-fabric:" "$status_log"; then
-        echo "metrics: no 'atl-fabric:' status lines on stderr" >&2
-        cat "$status_log" >&2
-        rm -f "$status_log"
-        exit 1
-    fi
-    echo "live status: $(grep -c 'atl-fabric:' "$status_log") update line(s)"
-    grep "atl-fabric:" "$status_log" | tail -n 1
-    if ! grep -q "atl-prof" "$status_log"; then
-        echo "metrics: ATL_PROF=1 produced no phase profile on stderr" >&2
-        cat "$status_log" >&2
-        rm -f "$status_log"
-        exit 1
-    fi
-    rm -f "$status_log"
-
-    python3 - "$report" <<'PYEOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-failed = 0
-if doc.get("schema") != 8:
-    print(f"fabric report: schema is {doc.get('schema')!r}, expected 8",
-          file=sys.stderr)
-    failed = 1
-m = doc.get("metrics")
-if not isinstance(m, dict):
-    print("fabric report: no merged 'metrics' object", file=sys.stderr)
-    sys.exit(1)
-for kind in ("counters", "gauges", "histograms"):
-    if not isinstance(m.get(kind), dict):
-        print(f"fabric report: metrics.{kind} missing", file=sys.stderr)
-        failed = 1
-for name in ("machine.intervals", "machine.dispatch.heap",
-             "machine.dispatch.global"):
-    if name not in m.get("counters", {}):
-        print(f"fabric report: metrics counter '{name}' missing",
-              file=sys.stderr)
-        failed = 1
-if m.get("counters", {}).get("machine.intervals", 0) <= 0:
-    print("fabric report: machine.intervals merged to zero",
-          file=sys.stderr)
-    failed = 1
-for name in ("machine.interval_cycles", "machine.switch_cost_cycles"):
-    h = m.get("histograms", {}).get(name)
-    if not isinstance(h, dict) or not all(
-            k in h for k in ("total", "sum", "buckets")):
-        print(f"fabric report: histogram '{name}' malformed: {h!r}",
-              file=sys.stderr)
-        failed = 1
-if failed:
-    sys.exit(1)
-print(f"merged metrics OK: {len(m['counters'])} counter(s), "
-      f"{len(m['gauges'])} gauge(s), {len(m['histograms'])} "
-      f"histogram(s), machine.intervals="
-      f"{m['counters']['machine.intervals']}")
-PYEOF
 
     echo "==== metrics: observability overhead gate (self-relative)"
     tmpdir=$(mktemp -d)
@@ -796,66 +356,32 @@ for b in build/bench/bench_*; do
         echo "MISSING: $json" >&2
         missing=1
     elif command -v python3 >/dev/null 2>&1; then
-        # Parse, and hold every RunMetrics entry to the schema-8
-        # contract (host diagnostics and degradation counters included;
-        # the "telemetry" and "metrics" objects are optional per bench,
-        # as are the fabric keys — validated when present). An incomplete
-        # sweep (lost runs) is a bench failure even when the binary
-        # itself exited zero, and any failed_runs entries must carry
-        # the full crash attribution.
+        # Parse, and hold the report to schema 9: every RunMetrics
+        # entry carries the host diagnostics and degradation counters,
+        # failed_runs entries are {index, name, message}, and no key of
+        # the retired crash-isolation / journal / fabric / checkpoint
+        # stack appears. An incomplete sweep (lost runs) is a bench
+        # failure even when the binary itself exited zero.
         if ! python3 - "$json" <<'PYEOF' >&2
 import json, sys
 doc = json.load(open(sys.argv[1]))
 if "bench" not in doc:
     sys.exit(0)  # google-benchmark native format, not a BenchReport
-if doc.get("schema") != 8:
-    print(f"{sys.argv[1]}: schema is {doc.get('schema')!r}, expected 8")
+if doc.get("schema") != 9:
+    print(f"{sys.argv[1]}: schema is {doc.get('schema')!r}, expected 9")
     sys.exit(1)
-if not isinstance(doc.get("resumed_runs"), int):
-    print(f"{sys.argv[1]}: schema-8 report has no 'resumed_runs' count")
-    sys.exit(1)
-# Schema 8: mid-cell checkpoint/restore accounting rides on every
-# report (zero when checkpointing was off).
-for key in ("checkpoint_resumes", "checkpoint_cycles_saved"):
-    if not isinstance(doc.get(key), int):
-        print(f"{sys.argv[1]}: schema-8 report has no integer '{key}'")
+retired = ("resumed_runs", "interrupted", "checkpoint_resumes",
+           "checkpoint_cycles_saved", "workers", "stolen_runs",
+           "worker_failures")
+for key in retired:
+    if key in doc:
+        print(f"{sys.argv[1]}: retired key '{key}' in a schema-9 report")
         sys.exit(1)
-if "metrics" in doc:
-    # Optional schema-8 merged metrics object: counters / gauges /
-    # histograms keyed by metric name.
-    m = doc["metrics"]
-    if not isinstance(m, dict) or not all(
-            isinstance(m.get(k), dict)
-            for k in ("counters", "gauges", "histograms")):
-        print(f"{sys.argv[1]}: 'metrics' is not a "
-              "{counters, gauges, histograms} object")
-        sys.exit(1)
-if "workers" in doc:
-    # Fabric-produced report: validate the fabric keys (schema 6).
-    if not isinstance(doc["workers"], int):
-        print(f"{sys.argv[1]}: 'workers' is not an integer")
-        sys.exit(1)
-    if not isinstance(doc.get("stolen_runs"), int):
-        print(f"{sys.argv[1]}: fabric report has no 'stolen_runs'")
-        sys.exit(1)
-    for d in doc.get("worker_failures", []):
-        for key in ("slot", "pid", "exit_signal", "exit_code",
-                    "cells_lost"):
-            if key not in d:
-                print(f"{sys.argv[1]}: worker_failures entry is "
-                      f"missing '{key}'")
-                sys.exit(1)
-failure_keys = ("index", "name", "message", "attempts", "timed_out",
-                "crashed", "exit_signal", "exit_code",
-                "attempts_backoff_ms",
-                # Schema 8: stall-watchdog and mid-cell resume
-                # attribution.
-                "stalled", "checkpoint_resumes", "resumed_from_cycle")
 for failure in doc.get("failed_runs", []):
-    for key in failure_keys:
-        if key not in failure:
-            print(f"{sys.argv[1]}: failed_runs entry is missing '{key}'")
-            sys.exit(1)
+    if set(failure) != {"index", "name", "message"}:
+        print(f"{sys.argv[1]}: failed_runs entry has keys "
+              f"{sorted(failure)}, expected index, name, message")
+        sys.exit(1)
 if doc.get("complete") is not True:
     print(f"{sys.argv[1]}: sweep incomplete, failed runs: "
           f"{doc.get('failed_runs')}")
@@ -866,7 +392,7 @@ required = ("workload", "policy", "num_cpus", "makespan", "e_misses",
             "ref_blocks", "refs_per_sec", "batch_occupancy",
             "fault_events", "implausible_samples", "torn_samples",
             "clamped_misses", "fallback_activations",
-            "fallback_recoveries", "fallback_intervals")
+            "fallback_recoveries", "fallback_intervals", "dropped_hints")
 for run in doc.get("runs", []):
     for key in required:
         if key not in run:

@@ -21,10 +21,6 @@
 #   - metrics + profiler: BM_HotPathRefThroughputMetrics (metrics
 #     registry attached, phase profiler armed) must also stay within 2%
 #     — metrics record at interval/switch boundaries only.
-#   - checkpoint safe points: BM_HotPathRefThroughputCheckpoint (the
-#     safe-point layer armed with a counting sink) must also stay
-#     within 2% — the armed check is one load + compare per commit
-#     boundary and must never reach the per-reference path.
 #
 # Every evaluated run is appended to results/history/hotpath.jsonl
 # ({sha, date, host_cpus, best}) via scripts/perf_history.py, which also
@@ -203,26 +199,9 @@ else:
           f"{100 * (1 - with_metrics / plain):+.1f}% on the ref hot "
           "path (limit 2%)")
 
-# Checkpoint safe-point overhead gate: the armed safe-point check (one
-# global load + compare per commit boundary, runtime/checkpoint.hh)
-# must be invisible on the per-reference path.
-with_ckpt = best.get("BM_HotPathRefThroughputCheckpoint")
-if plain is None or with_ckpt is None:
-    failed.append("checkpoint gate: BM_HotPathRefThroughput{,Checkpoint} "
-                  "pair missing from run")
-elif with_ckpt < 0.98 * plain:
-    failed.append(f"checkpoint overhead: {with_ckpt / 1e6:.1f} Mrefs/s "
-                  f"with the safe-point layer armed is "
-                  f"{100 * (1 - with_ckpt / plain):.1f}% below the "
-                  f"plain hot path {plain / 1e6:.1f} Mrefs/s (limit 2%)")
-else:
-    print(f"perf_gate: checkpoint safe-point overhead "
-          f"{100 * (1 - with_ckpt / plain):+.1f}% on the ref hot path "
-          "(limit 2%)")
-
 if failed:
     print("perf_gate: REGRESSION (>10% below baseline, "
-          "or telemetry/metrics/checkpoint overhead >2%)", file=sys.stderr)
+          "or telemetry/metrics overhead >2%)", file=sys.stderr)
     for line in failed:
         print(f"  {line}", file=sys.stderr)
     sys.exit(1)

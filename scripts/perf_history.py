@@ -13,9 +13,8 @@ but honest proxy for "same class of host" that keeps a laptop capture
 from tripping the gate on a CI box.
 
 Bench names are not enumerated here: any benchmark perf_gate.sh folds
-into "best" (e.g. BM_HotPathRefThroughputCheckpoint, added with the
-schema-8 checkpoint/restore work) is tracked automatically, and a name
-with no history yet simply has nothing to regress against.
+into "best" is tracked automatically, and a name with no history yet
+simply has nothing to regress against.
 
 Usage:
   perf_history.py append [--report R] [--history-dir D] [--strict]

@@ -18,9 +18,8 @@
 # in stdout and in the JSON is simulated and reproduces bit-for-bit.
 HOST_KEYS="host_seconds refs_per_sec"
 #
-# Benches that print host timings (bench_micro_runtime,
-# bench_parallel_scaling) and the fork-based sweeps (bench_crash_matrix,
-# bench_fabric_matrix) are not listed. bench_table3_priority_cost runs
+# The benches that print host timings (bench_micro_runtime,
+# bench_parallel_scaling) are not listed. bench_table3_priority_cost runs
 # with its google-benchmark timings filtered out: its stdout is the
 # deterministic Table 3 either way.
 set -euo pipefail

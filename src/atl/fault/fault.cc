@@ -1,36 +1,7 @@
 #include "atl/fault/fault.hh"
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <thread>
-
-#include <unistd.h>
-
 namespace atl
 {
-
-namespace
-{
-
-/** splitmix64 finaliser: one well-mixed word from a seed. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-/** Uniform [0, 1) from a mixed word. */
-double
-unitRoll(uint64_t z)
-{
-    return static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
-}
-
-} // namespace
 
 bool
 FaultPlan::empty() const
@@ -38,10 +9,7 @@ FaultPlan::empty() const
     return !picWrapBias && sampleLossProb == 0.0 && readNoiseProb == 0.0 &&
            tornSnapshotProb == 0.0 && shareDropProb == 0.0 &&
            shareWrongQProb == 0.0 && shareDanglingProb == 0.0 &&
-           shareChurnProb == 0.0 && jobThrowProb == 0.0 &&
-           jobHangProb == 0.0 && jobCrashProb == 0.0 &&
-           jobCrashAtCycle == 0 && cycleCrashProb == 0.0 &&
-           workerCrashProb == 0.0;
+           shareChurnProb == 0.0;
 }
 
 FaultPlan
@@ -78,41 +46,6 @@ FaultPlan::fullChaos()
     plan.shareWrongQProb = 0.20;
     plan.shareDanglingProb = 0.20;
     plan.shareChurnProb = 0.20;
-    plan.jobThrowProb = 0.15;
-    plan.jobHangProb = 0.10;
-    return plan;
-}
-
-FaultPlan
-FaultPlan::crashChaos(bool mid_run)
-{
-    FaultPlan plan;
-    if (mid_run) {
-        // Mid-simulation deaths at commit boundaries instead of
-        // attempt-start rolls: with a boundary every dispatch interval
-        // and a small per-boundary probability, most attempts die a
-        // few checkpoints into the run — exactly the input that makes
-        // `checkpoint_cycles_saved` nonzero when resume works.
-        plan.cycleCrashProb = 0.002;
-        return plan;
-    }
-    // Most cells crash-prone, each attempt a coin flip: with 8
-    // attempts a cell is lost only with probability 2^-8, so a seeded
-    // matrix completes after retries while still exercising every
-    // crash kind and the backoff machinery.
-    plan.jobCrashProb = 0.75;
-    plan.jobCrashPerAttemptProb = 0.5;
-    return plan;
-}
-
-FaultPlan
-FaultPlan::workerChaos()
-{
-    FaultPlan plan;
-    // Per (worker, cell) claim: with 4 workers over ~10 cells this
-    // kills a worker or two per sweep, and respawned generations
-    // re-roll, so the fabric still finishes every cell.
-    plan.workerCrashProb = 0.15;
     return plan;
 }
 
@@ -121,14 +54,11 @@ FaultStats::total() const
 {
     return picBiases + samplesLost + readsNoised + tornSnapshots +
            sharesDropped + sharesMisweighted + sharesRedirected +
-           sharesChurned + jobsThrown + jobsHung + jobsCrashProne;
+           sharesChurned;
 }
 
 FaultInjector::FaultInjector(const FaultPlan &plan, uint64_t seed)
-    : _plan(plan), _active(!plan.empty()),
-      _cycleCrashArmed(plan.jobCrashAtCycle != 0 ||
-                       plan.cycleCrashProb > 0.0),
-      _seed(seed), _rng(seed)
+    : _plan(plan), _active(!plan.empty()), _rng(seed)
 {
 }
 
@@ -218,121 +148,6 @@ FaultInjector::perturbShare(ThreadId src, ThreadId &dst, double &q,
         fault.churnQ = _rng.uniform();
     }
     return fault;
-}
-
-FaultInjector::JobFault
-FaultInjector::jobFault(size_t index)
-{
-    JobFault fault;
-    if (!_active)
-        return fault;
-    // Derived from (seed, index) only — splitmix64 finaliser — so the
-    // decision is stable no matter which pool worker asks, or when.
-    uint64_t z = _seed + (static_cast<uint64_t>(index) + 1) *
-                             0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    double roll =
-        static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
-    if (roll < _plan.jobThrowProb) {
-        _stats.jobsThrown++;
-        fault.kind = JobFaultKind::Throw;
-    } else if (roll < _plan.jobThrowProb + _plan.jobHangProb) {
-        _stats.jobsHung++;
-        fault.kind = JobFaultKind::Hang;
-        fault.seconds = _plan.jobHangSeconds;
-    } else if (roll < _plan.jobThrowProb + _plan.jobHangProb +
-                          _plan.jobCrashProb) {
-        _stats.jobsCrashProne++;
-        fault.kind = JobFaultKind::Crash;
-        fault.perAttemptProb = _plan.jobCrashPerAttemptProb;
-    }
-    return fault;
-}
-
-FaultInjector::CrashKind
-FaultInjector::crashDecision(double per_attempt_prob, uint64_t attempt_seed)
-{
-    // Two independent words from the attempt seed: one decides *if*
-    // this attempt crashes, the other *how*. Same seed, same fate —
-    // retries only recover because they get a different attempt seed.
-    uint64_t z = mix64(attempt_seed ^ 0xc2b2ae3d27d4eb4full);
-    if (unitRoll(z) >= per_attempt_prob)
-        return CrashKind::None;
-    switch (mix64(z) & 3u) {
-      case 0: return CrashKind::Segv;
-      case 1: return CrashKind::Abort;
-      case 2: return CrashKind::SilentExit;
-      default: return CrashKind::Spin;
-    }
-}
-
-namespace
-{
-
-/** Set by disarmCycleCrashes() in a resumed checkpoint holder; checked
- *  before every mid-run crash roll. Atomic for form — the supervised
- *  child is single-threaded when it flips this, but the flag outlives
- *  the flip into worker threads the epoch engine respawns. */
-std::atomic<bool> g_cycleCrashesDisarmed{false};
-
-} // namespace
-
-void
-FaultInjector::disarmCycleCrashes()
-{
-    g_cycleCrashesDisarmed.store(true, std::memory_order_relaxed);
-}
-
-bool
-FaultInjector::cycleCrashesDisarmed()
-{
-    return g_cycleCrashesDisarmed.load(std::memory_order_relaxed);
-}
-
-void
-FaultInjector::cycleCrashSlow(Cycles now)
-{
-    if (g_cycleCrashesDisarmed.load(std::memory_order_relaxed))
-        return;
-    if (_plan.jobCrashAtCycle != 0 && now >= _plan.jobCrashAtCycle) {
-        // Only the hard-death kinds: a mid-run SilentExit or Spin would
-        // test the timeout machinery, not checkpoint restore.
-        uint64_t z = mix64(_seed ^ 0xa0761d6478bd642full);
-        executeCrash((z & 1) ? CrashKind::Segv : CrashKind::Abort);
-    }
-    if (_plan.cycleCrashProb > 0.0) {
-        // Stateless per-boundary roll: (seed, now) decides, the RNG
-        // stream is untouched, so every other fault class reproduces
-        // bit-identically whether or not this surface is armed.
-        uint64_t z = mix64(_seed ^ now ^ 0xe7037ed1a0b428dbull);
-        if (unitRoll(z) < _plan.cycleCrashProb)
-            executeCrash((mix64(z) & 1) ? CrashKind::Segv
-                                        : CrashKind::Abort);
-    }
-}
-
-void
-FaultInjector::executeCrash(CrashKind kind)
-{
-    switch (kind) {
-      case CrashKind::None:
-        return;
-      case CrashKind::Segv:
-        ::raise(SIGSEGV);
-        // Sanitizer builds intercept SIGSEGV and exit instead of dying
-        // by signal; make sure we never fall through to the job body.
-        ::_exit(1);
-      case CrashKind::Abort:
-        std::abort();
-      case CrashKind::SilentExit:
-        ::_exit(kSilentExitCode);
-      case CrashKind::Spin:
-        // Wedge until the supervisor's timeout SIGKILLs the child.
-        for (;;)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
 }
 
 } // namespace atl

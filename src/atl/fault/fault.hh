@@ -1,20 +1,16 @@
 /**
  * @file
- * Seeded, deterministic fault injection for the three input surfaces
- * the locality model depends on (paper Sections 2.3 and 5: annotations
- * are hints, counters wrap silently, and an inaccurate estimate must
- * cost only performance, never correctness):
+ * Seeded, deterministic fault injection for the two hint surfaces the
+ * locality model depends on (paper Sections 2.3 and 5: annotations are
+ * hints, counters wrap silently, and an inaccurate estimate must cost
+ * only performance, never correctness):
  *
  *   counters    - forced 32-bit PIC wrap (pre-biasing), sample loss at
  *                 scheduling points, multiplicative read noise, torn
  *                 refs/hits snapshots;
  *   annotations - dropped at_share() calls, wrong (even out-of-range)
  *                 coefficients, dangling/stale destination ids,
- *                 re-annotation churn;
- *   sweep jobs  - injected exceptions, simulated hangs, and (under
- *                 SweepOptions::isolate) hard crashes — SIGSEGV, abort,
- *                 silent _exit, infinite loop — consumed by the
- *                 SweepRunner supervisor/timeout/retry machinery.
+ *                 re-annotation churn.
  *
  * A FaultPlan describes *what* can go wrong and how often; the
  * FaultInjector rolls the dice from a seed, so a (plan, seed) pair
@@ -39,7 +35,7 @@ namespace atl
 /**
  * Declarative description of the faults to inject. All probabilities
  * are per-opportunity (per scheduling-point snapshot, per at_share()
- * call, per sweep job); 0 disables a fault class entirely.
+ * call); 0 disables a fault class entirely.
  */
 struct FaultPlan
 {
@@ -74,58 +70,6 @@ struct FaultPlan
     double shareChurnProb = 0.0;
     /** @} */
 
-    /** @name Sweep-job surface @{ */
-    /** Per job: throw an injected exception instead of running. */
-    double jobThrowProb = 0.0;
-    /** Per job: hang (sleep) for jobHangSeconds before running. */
-    double jobHangProb = 0.0;
-    /** Simulated hang duration in host seconds. */
-    double jobHangSeconds = 0.05;
-    /** Per job: the job becomes crash-prone — each *attempt* rolls
-     *  jobCrashPerAttemptProb against its seed and, on a hit, dies by a
-     *  seed-chosen CrashKind (SIGSEGV, abort, silent _exit, or an
-     *  infinite loop the per-attempt timeout must reclaim). Crash
-     *  faults require SweepOptions::isolate: in-process they would
-     *  take the whole bench down, which is exactly what isolation
-     *  exists to contain. */
-    double jobCrashProb = 0.0;
-    /** Given a crash-prone job, per-attempt probability the attempt
-     *  actually crashes; values < 1 make retries-with-backoff recover
-     *  the cell deterministically. */
-    double jobCrashPerAttemptProb = 1.0;
-    /** @} */
-
-    /** @name Mid-run crash surface (commit boundaries) @{ */
-    /** Die (SIGSEGV or abort, seed-chosen) at the first commit-boundary
-     *  safe point at or past this simulated cycle; 0 disables. Unlike
-     *  the per-attempt crash rolls above — which fire *before* the job
-     *  body runs — this kills the attempt mid-simulation, which is the
-     *  reproducible input the checkpoint/restore tests need. A resumed
-     *  checkpoint holder disarms it process-wide (see
-     *  FaultInjector::disarmCycleCrashes) so the resume does not die at
-     *  the very cycle it resumed past. Requires SweepOptions::isolate
-     *  for the same reason the attempt crashes do. */
-    uint64_t jobCrashAtCycle = 0;
-    /** Per commit boundary: probability of dying mid-run (SIGSEGV or
-     *  abort). Each roll is derived statelessly from (seed, boundary
-     *  cycle) — the injector's RNG stream is never consumed — so
-     *  arming this perturbs nothing else, and a (plan, seed) pair
-     *  reproduces the same crash cycle. */
-    double cycleCrashProb = 0.0;
-    /** @} */
-
-    /** @name Fabric surface @{ */
-    /** Per (worker, cell) claim in the distributed sweep fabric: the
-     *  worker process SIGKILLs itself — half the time before running
-     *  the cell (the cell is lost and re-leased), half the time right
-     *  after journalling it (exercising duplicate-tolerant shard
-     *  merge). Rolls are seeded by (fabric fault seed, worker slot,
-     *  worker generation, cell index), so a respawned worker re-rolls
-     *  its own fate and the fabric converges. Consumed by runFabric,
-     *  not by FaultInjector. */
-    double workerCrashProb = 0.0;
-    /** @} */
-
     /** True when no fault class is enabled (the inert plan). */
     bool empty() const;
 
@@ -135,21 +79,8 @@ struct FaultPlan
     /** Aggressive annotation corruption (drop + wrong q + dangling +
      *  churn). */
     static FaultPlan annotationChaos();
-    /** Everything at once, including job faults. */
+    /** Both surfaces at once. */
     static FaultPlan fullChaos();
-    /** Hard crashes on the job surface (isolation required): most jobs
-     *  crash-prone, each attempt crashing with probability 1/2, so
-     *  retries recover every cell with overwhelming odds. With
-     *  `mid_run` set, the attempt-start crashes are replaced by
-     *  seeded per-commit-boundary crashes (cycleCrashProb) — the
-     *  variant the checkpointed bench_crash_matrix column runs, where
-     *  attempts die mid-simulation and only checkpoint resume (or a
-     *  lucky retry) can finish the cell. */
-    static FaultPlan crashChaos(bool mid_run = false);
-    /** Fabric chaos: worker processes self-SIGKILL around cell
-     *  boundaries with moderate probability, exercising re-lease,
-     *  respawn and duplicate shard records without losing cells. */
-    static FaultPlan workerChaos();
     /** @} */
 };
 
@@ -164,11 +95,6 @@ struct FaultStats
     uint64_t sharesMisweighted = 0;
     uint64_t sharesRedirected = 0;
     uint64_t sharesChurned = 0;
-    uint64_t jobsThrown = 0;
-    uint64_t jobsHung = 0;
-    /** Jobs made crash-prone (actual crashes are per-attempt and
-     *  happen inside the forked child). */
-    uint64_t jobsCrashProne = 0;
 
     /** Total events across every class. */
     uint64_t total() const;
@@ -186,11 +112,9 @@ struct ShareFault
 };
 
 /**
- * Rolls a FaultPlan's dice. One injector serves exactly one machine or
- * sweep (single-threaded use); the call sequence inside a simulation is
+ * Rolls a FaultPlan's dice. One injector serves exactly one machine
+ * (single-threaded use); the call sequence inside a simulation is
  * deterministic, so a (plan, seed) pair reproduces the same faults.
- * Per-job decisions are derived from the seed and the job *index* so
- * they do not depend on pool scheduling.
  */
 class FaultInjector
 {
@@ -230,93 +154,9 @@ class FaultInjector
     ShareFault perturbShare(ThreadId src, ThreadId &dst, double &q,
                             size_t thread_count);
 
-    /** What a sweep job should suffer. */
-    enum class JobFaultKind
-    {
-        None,
-        Throw,
-        Hang,
-        /** Crash-prone: per-attempt crash rolls inside the child. */
-        Crash,
-    };
-
-    /** How a crashing attempt dies (chosen per attempt from its seed). */
-    enum class CrashKind : uint8_t
-    {
-        None,
-        Segv,       ///< raise SIGSEGV
-        Abort,      ///< std::abort (SIGABRT)
-        SilentExit, ///< _exit(kSilentExitCode), no report
-        Spin,       ///< never returns; the timeout must SIGKILL it
-    };
-
-    /** Exit code of the SilentExit crash kind. */
-    static constexpr int kSilentExitCode = 66;
-
-    /** Per-job fault decision, derived from seed and index only. */
-    struct JobFault
-    {
-        JobFaultKind kind = JobFaultKind::None;
-        /** Hang duration when kind is Hang. */
-        double seconds = 0.0;
-        /** Per-attempt crash probability when kind is Crash. */
-        double perAttemptProb = 1.0;
-    };
-
-    /** Decide the fault for sweep job `index` (stable per injector). */
-    JobFault jobFault(size_t index);
-
-    /**
-     * Per-attempt crash decision for a crash-prone job, derived from
-     * the attempt seed alone so retries of the same cell reproduce
-     * (seed -> same roll, same kind) while distinct attempts differ.
-     * @return CrashKind::None when this attempt survives
-     */
-    static CrashKind crashDecision(double per_attempt_prob,
-                                   uint64_t attempt_seed);
-
-    /** Die by the given kind. Returns only for CrashKind::None; Spin
-     *  loops forever (sleeping) until SIGKILLed. Must only ever run in
-     *  a supervised child. */
-    static void executeCrash(CrashKind kind);
-
-    /**
-     * Commit-boundary hook: die here when the plan says so
-     * (jobCrashAtCycle / cycleCrashProb). Called by both engines at
-     * every safe point; the armed check is inline so an injector
-     * without a mid-run crash surface costs one load + branch. The
-     * rolls are stateless (derived from the seed and `now` only), so
-     * arming this surface leaves every other fault stream
-     * bit-identical.
-     */
-    void maybeCycleCrash(Cycles now)
-    {
-        if (!_cycleCrashArmed)
-            return;
-        cycleCrashSlow(now);
-    }
-
-    /** True when the plan has a mid-run crash surface. */
-    bool cycleCrashArmed() const { return _cycleCrashArmed; }
-
-    /**
-     * Process-wide kill switch for the mid-run crash surface, thrown by
-     * a resumed checkpoint holder: the holder's image was forked
-     * *before* the crash fired, so without this the resume would
-     * deterministically re-die at the same boundary it resumed past.
-     * Survives into further holders (they inherit the flag via fork).
-     */
-    static void disarmCycleCrashes();
-    /** True once disarmCycleCrashes() ran in this process. */
-    static bool cycleCrashesDisarmed();
-
   private:
-    [[gnu::cold]] void cycleCrashSlow(Cycles now);
-
     FaultPlan _plan;
     bool _active;
-    bool _cycleCrashArmed = false;
-    uint64_t _seed;
     Rng _rng;
     FaultStats _stats;
 };

@@ -109,67 +109,6 @@ enum class EventKind : uint8_t
      * recorded so far.
      */
     Warning,
-
-    /**
-     * A crash-isolated sweep attempt died abnormally (child killed by a
-     * signal, silent nonzero _exit, or SIGKILLed on timeout). Recorded
-     * by the sweep engine, not a machine, so time = 0 and
-     * cpu = InvalidCpuId16. n = job index, m = attempt (0-based),
-     * t0 = killing signal when there was one, else the exit code.
-     */
-    SweepCrash,
-
-    /**
-     * A sweep job is about to be retried. n = job index, m = attempt
-     * about to run (1-based from the first retry), t0 = backoff delay
-     * in milliseconds (after jitter; 0 when backoff is disabled).
-     * time = 0, cpu = InvalidCpuId16.
-     */
-    SweepRetry,
-
-    /**
-     * A sweep cell was replayed from a durable journal instead of
-     * executed (resume after an interrupted or crashed sweep).
-     * n = job index; time = 0, cpu = InvalidCpuId16.
-     */
-    SweepResume,
-
-    /**
-     * A fabric worker process died (crashed, chaos-killed, or reclaimed
-     * as wedged) and its unfinished cells were requeued. Recorded by
-     * the fabric coordinator, so time = 0 and cpu = InvalidCpuId16.
-     * n = worker slot, m = worker pid, t0 = killing signal when there
-     * was one, else the exit code.
-     */
-    WorkerDeath,
-
-    /**
-     * An in-flight fabric cell was re-leased to an idle worker (work
-     * stealing from the slowest lease). n = cell index, m = thief
-     * worker slot, t0 = victim worker slot. time = 0,
-     * cpu = InvalidCpuId16.
-     */
-    CellStolen,
-
-    /**
-     * A checkpointed sweep attempt forked a frozen holder at a
-     * commit-boundary safe point (mid-cell checkpoint/restore, see
-     * sim/supervisor.hh). Recorded by the sweep engine from the
-     * supervisor's parent-side frame parser — never by the machine —
-     * so the child's own telemetry stays bit-identical to an
-     * uncheckpointed run. n = job index, m = attempt (0-based),
-     * t0 = simulated cycle of the snapshot. time = 0,
-     * cpu = InvalidCpuId16.
-     */
-    SweepCheckpoint,
-
-    /**
-     * A crashed/stalled/timed-out checkpointed attempt was resumed
-     * from its newest holder instead of retried from scratch.
-     * n = job index, m = attempt (0-based), t0 = simulated cycle the
-     * holder continues from. time = 0, cpu = InvalidCpuId16.
-     */
-    SweepCkptResume,
 };
 
 /** Printable name of an event kind. */

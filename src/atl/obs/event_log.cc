@@ -30,13 +30,6 @@ eventKindName(EventKind kind)
       case EventKind::Fault: return "fault";
       case EventKind::Residual: return "residual";
       case EventKind::Warning: return "warning";
-      case EventKind::SweepCrash: return "sweep_crash";
-      case EventKind::SweepRetry: return "sweep_retry";
-      case EventKind::SweepResume: return "sweep_resume";
-      case EventKind::WorkerDeath: return "worker_death";
-      case EventKind::CellStolen: return "cell_stolen";
-      case EventKind::SweepCheckpoint: return "sweep_checkpoint";
-      case EventKind::SweepCkptResume: return "sweep_ckpt_resume";
     }
     return "?";
 }

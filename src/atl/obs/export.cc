@@ -137,27 +137,6 @@ summarizeTrace(const EventLog &log, double residual_floor)
           case EventKind::Warning:
             ++s.warnings;
             break;
-          case EventKind::SweepCrash:
-            ++s.sweepCrashes;
-            break;
-          case EventKind::SweepRetry:
-            ++s.sweepRetries;
-            break;
-          case EventKind::SweepResume:
-            ++s.sweepResumes;
-            break;
-          case EventKind::WorkerDeath:
-            ++s.workerDeaths;
-            break;
-          case EventKind::CellStolen:
-            ++s.cellsStolen;
-            break;
-          case EventKind::SweepCheckpoint:
-            ++s.sweepCheckpoints;
-            break;
-          case EventKind::SweepCkptResume:
-            ++s.sweepCkptResumes;
-            break;
         }
     }
     if (s.residualSamplesUsed > 0) {
@@ -180,20 +159,6 @@ printTraceSummary(const TraceSummary &s, std::ostream &os,
     os << "  anomalies " << s.anomalies << ", fallback enter/leave "
        << s.fallbackEnters << "/" << s.fallbackLeaves << ", faults "
        << s.faults << ", warnings " << s.warnings << "\n";
-    if (s.sweepCrashes || s.sweepRetries || s.sweepResumes) {
-        os << "  sweep recovery: crashes " << s.sweepCrashes
-           << ", retries " << s.sweepRetries << ", resumes "
-           << s.sweepResumes << "\n";
-    }
-    if (s.sweepCheckpoints || s.sweepCkptResumes) {
-        os << "  mid-cell checkpoint/restore: checkpoints "
-           << s.sweepCheckpoints << ", resumes " << s.sweepCkptResumes
-           << "\n";
-    }
-    if (s.workerDeaths || s.cellsStolen) {
-        os << "  fabric: worker deaths " << s.workerDeaths
-           << ", cells stolen " << s.cellsStolen << "\n";
-    }
     if (s.residualSamplesUsed > 0) {
         os << "  model residual: mean |pred-obs|/obs = "
            << s.residualMeanAbsRelError << " over "
@@ -239,13 +204,6 @@ traceSummaryJson(const TraceSummary &s)
     counts["faults"] = Json(s.faults);
     counts["residual_samples"] = Json(s.residuals);
     counts["warnings"] = Json(s.warnings);
-    counts["sweep_crashes"] = Json(s.sweepCrashes);
-    counts["sweep_retries"] = Json(s.sweepRetries);
-    counts["sweep_resumes"] = Json(s.sweepResumes);
-    counts["worker_deaths"] = Json(s.workerDeaths);
-    counts["cells_stolen"] = Json(s.cellsStolen);
-    counts["sweep_checkpoints"] = Json(s.sweepCheckpoints);
-    counts["sweep_ckpt_resumes"] = Json(s.sweepCkptResumes);
     out["counts"] = std::move(counts);
 
     Json residuals = Json::object();
@@ -463,72 +421,6 @@ perfettoTrace(const EventLog &log, const std::string &process_name)
             j["s"] = Json("g");
             Json args = Json::object();
             args["message"] = Json(log.string(e.t0));
-            j["args"] = std::move(args);
-            pending.push_back({ts, std::move(j)});
-            break;
-          }
-          case EventKind::SweepCrash:
-          case EventKind::SweepRetry:
-          case EventKind::SweepResume: {
-            // Host-side sweep recovery: no simulated clock, so these
-            // land at ts 0 on the global "events" track.
-            const char *name =
-                e.kind == EventKind::SweepCrash
-                    ? "sweep crash"
-                    : (e.kind == EventKind::SweepRetry ? "sweep retry"
-                                                       : "sweep resume");
-            Json j = baseEvent(name, "sweep", "i", ts, InvalidCpuId16);
-            j["s"] = Json("g");
-            Json args = Json::object();
-            args["job"] = Json(e.n);
-            args["attempt"] = Json(e.m);
-            if (e.kind == EventKind::SweepCrash)
-                args["signal_or_code"] = Json(e.t0);
-            else if (e.kind == EventKind::SweepRetry)
-                args["backoff_ms"] = Json(e.t0);
-            j["args"] = std::move(args);
-            pending.push_back({ts, std::move(j)});
-            break;
-          }
-          case EventKind::WorkerDeath: {
-            // Fabric coordinator events: host-side like the sweep
-            // recovery kinds, so ts 0 on the global track.
-            Json j = baseEvent("worker death", "fabric", "i", ts,
-                               InvalidCpuId16);
-            j["s"] = Json("g");
-            Json args = Json::object();
-            args["worker"] = Json(e.n);
-            args["pid"] = Json(e.m);
-            args["signal_or_code"] = Json(e.t0);
-            j["args"] = std::move(args);
-            pending.push_back({ts, std::move(j)});
-            break;
-          }
-          case EventKind::CellStolen: {
-            Json j = baseEvent("cell stolen", "fabric", "i", ts,
-                               InvalidCpuId16);
-            j["s"] = Json("g");
-            Json args = Json::object();
-            args["cell"] = Json(e.n);
-            args["thief"] = Json(e.m);
-            args["victim"] = Json(e.t0);
-            j["args"] = std::move(args);
-            pending.push_back({ts, std::move(j)});
-            break;
-          }
-          case EventKind::SweepCheckpoint:
-          case EventKind::SweepCkptResume: {
-            // Mid-cell checkpoint/restore: host-side like the other
-            // sweep recovery kinds, so ts 0 on the "sweep" track.
-            const char *name = e.kind == EventKind::SweepCheckpoint
-                                   ? "sweep checkpoint"
-                                   : "sweep ckpt resume";
-            Json j = baseEvent(name, "sweep", "i", ts, InvalidCpuId16);
-            j["s"] = Json("g");
-            Json args = Json::object();
-            args["job"] = Json(e.n);
-            args["attempt"] = Json(e.m);
-            args["cycle"] = Json(e.t0);
             j["args"] = std::move(args);
             pending.push_back({ts, std::move(j)});
             break;

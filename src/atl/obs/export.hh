@@ -86,20 +86,6 @@ struct TraceSummary
     uint64_t faults = 0;
     uint64_t residuals = 0;
     uint64_t warnings = 0;
-    /** Crash-isolated sweep attempts that died abnormally. */
-    uint64_t sweepCrashes = 0;
-    /** Sweep attempts re-run after a failure. */
-    uint64_t sweepRetries = 0;
-    /** Sweep cells replayed from a durable journal. */
-    uint64_t sweepResumes = 0;
-    /** Fabric worker processes that died mid-sweep. */
-    uint64_t workerDeaths = 0;
-    /** Fabric cells re-leased from a slow worker to an idle one. */
-    uint64_t cellsStolen = 0;
-    /** Mid-cell checkpoint holders forked by supervised attempts. */
-    uint64_t sweepCheckpoints = 0;
-    /** Dead attempts resumed from a checkpoint holder mid-cell. */
-    uint64_t sweepCkptResumes = 0;
     /** @} */
 
     /** @name Model-residual accuracy (Fig. 5 made continuous) @{ */

@@ -296,60 +296,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
     }
 }
 
-bool
-MetricsRegistry::mergeJson(const Json &snapshot)
-{
-    if (!snapshot.isObject())
-        return false;
-    Shard &mine = *_shards[0];
-    if (snapshot.has("counters")) {
-        const Json &counters = snapshot.at("counters");
-        if (!counters.isObject())
-            return false;
-        for (const auto &[name, value] : counters.members()) {
-            if (!value.isNumber())
-                return false;
-            Id id = counter(name);
-            mine.counters[id] =
-                satAdd(mine.counters[id], value.asUint());
-        }
-    }
-    if (snapshot.has("gauges")) {
-        const Json &gauges = snapshot.at("gauges");
-        if (!gauges.isObject())
-            return false;
-        for (const auto &[name, value] : gauges.members()) {
-            if (!value.isObject() || !value.at("updates").isNumber() ||
-                !value.at("value").isNumber()) {
-                return false;
-            }
-            Id id = gauge(name);
-            GaugeSlot slot;
-            slot.updates = value.at("updates").asUint();
-            slot.value = value.at("value").asNumber();
-            GaugeSlot &mine_slot = mine.gauges[id];
-            if (slot.updates > mine_slot.updates ||
-                (slot.updates == mine_slot.updates &&
-                 slot.value > mine_slot.value)) {
-                mine_slot = slot;
-            }
-        }
-    }
-    if (snapshot.has("histograms")) {
-        const Json &histograms = snapshot.at("histograms");
-        if (!histograms.isObject())
-            return false;
-        for (const auto &[name, value] : histograms.members()) {
-            MetricHistogram parsed;
-            if (!parsed.fromJson(value))
-                return false;
-            Id id = histogram(name);
-            mine.histograms[id].merge(parsed);
-        }
-    }
-    return true;
-}
-
 Json
 MetricsRegistry::json() const
 {

@@ -18,10 +18,8 @@
  *     max on (updates, value) — a semilattice, so any merge order and
  *     any shard count produce the same result. json() emits names in
  *     sorted order. Together these make the merged registry
- *     bit-identical across hostShards {1,2,4} and across serial vs
- *     fabric execution (workers stream registry snapshots to the
- *     coordinator, which merges them in arrival order — safely,
- *     because the merge is commutative and associative).
+ *     bit-identical across hostShards {1,2,4} and across sweep worker
+ *     counts.
  *
  * The phase profiler (ATL_PROF=1, or PhaseProfiler::setEnabled) wraps
  * the host-side hot loop's coarse phases — translate / access / trace
@@ -74,9 +72,8 @@ struct MetricHistogram
     void merge(const MetricHistogram &other);
 
     /** Inclusive upper bound (2^i - 1) of the bucket holding the
-     *  q-quantile sample (q in [0, 1]); 0 when empty. Used for the
-     *  fabric's p50/p95 status line — a bucket bound, not an
-     *  interpolated value. */
+     *  q-quantile sample (q in [0, 1]); 0 when empty. A bucket
+     *  bound, not an interpolated value. */
     uint64_t quantileUpperBound(double q) const;
 
     /** {"total": t, "sum": s, "buckets": [{le, count}, ...]} over the
@@ -153,15 +150,10 @@ class MetricsRegistry
 
     /**
      * Fold another registry in by *name* (get-or-create), into shard
-     * 0. Commutative and associative over merged totals, so fabric
-     * workers' snapshots can arrive in any order.
+     * 0. Commutative and associative over merged totals, so per-job
+     * registries can be folded in any order.
      */
     void merge(const MetricsRegistry &other);
-
-    /** Fold a json() snapshot in (the fabric wire path).
-     *  @retval false when the document is malformed (partial merges
-     *          possible; callers treat false as a protocol error) */
-    bool mergeJson(const Json &snapshot);
 
     /**
      * Canonical snapshot: {"counters": {...}, "gauges": {...},

@@ -18,9 +18,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "atl/fault/fault.hh"
 #include "atl/obs/metrics.hh"
-#include "atl/runtime/checkpoint.hh"
 #include "atl/util/logging.hh"
 
 namespace atl
@@ -341,47 +339,15 @@ Machine::runEpochEngine()
     bool alive = epochCommit();
 
     std::vector<std::thread> workers;
-    auto spawnWorkers = [&] {
-        workers.reserve(es.shards - 1);
-        for (unsigned w = 1; w < es.shards; ++w)
-            workers.emplace_back([this, w] { epochWorkerMain(w); });
-    };
-    auto joinWorkers = [&] {
-        for (std::thread &worker : workers)
-            worker.join();
-        workers.clear();
-    };
-    spawnWorkers();
+    workers.reserve(es.shards - 1);
+    for (unsigned w = 1; w < es.shards; ++w)
+        workers.emplace_back([this, w] { epochWorkerMain(w); });
 
     // Leader loop. `done` is written before the start barrier and read
     // by workers after it; everything a worker wrote mid-epoch is read
     // by the leader after the end barrier. The barriers carry all the
     // ordering — no other synchronisation exists mid-run.
     for (;;) {
-        // Commit-boundary safe point. A *beacon* boundary only writes a
-        // pipe: the workers are parked at the start barrier, so the
-        // leader may do that directly. A *fork* boundary (checkpoint
-        // holder) must fork a single-threaded process — forking with
-        // live worker threads would snapshot them mid-park and the
-        // holder could never rebuild their barrier state — so the pool
-        // is drained through the normal done-handshake, the fork
-        // happens, and a fresh pool is spawned. std::barrier phases
-        // end quiescent, so the barriers are reusable as-is.
-        if (alive && safePointDue(es.horizon)) {
-            if (safePointForkDue(es.horizon) && es.shards > 1) {
-                es.done = true;
-                es.startBarrier.arrive_and_wait();
-                joinWorkers();
-                safePointReached(es.horizon);
-                es.done = false;
-                spawnWorkers();
-            } else {
-                safePointReached(es.horizon);
-            }
-        }
-        if (alive && _config.faults)
-            _config.faults->maybeCycleCrash(es.horizon);
-
         es.done = !alive;
         es.startBarrier.arrive_and_wait();
         if (es.done)
@@ -391,7 +357,8 @@ Machine::runEpochEngine()
         alive = epochCommit();
     }
 
-    joinWorkers();
+    for (std::thread &worker : workers)
+        worker.join();
 
     // Restore the external observer wiring before tearing down.
     for (Cpu &cpu : _cpus)

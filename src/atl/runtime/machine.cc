@@ -6,7 +6,6 @@
 #include "atl/fault/fault.hh"
 #include "atl/obs/event_log.hh"
 #include "atl/obs/metrics.hh"
-#include "atl/runtime/checkpoint.hh"
 #include "atl/runtime/epoch.hh"
 #include "atl/util/logging.hh"
 
@@ -800,10 +799,6 @@ Machine::parkIdle(Cpu &cpu)
 void
 Machine::replayIdlePasses()
 {
-    // A mid-run crash roll depends on the clock of every pass, so a
-    // fault plan that can fire one keeps every pass in the main loop.
-    if (_config.faults && _config.faults->cycleCrashArmed())
-        return;
     // The processor that just parked failed pickNext(): its heap held
     // nothing valid, the global queue is now empty, and no busy peer
     // had a valid entry to steal. Nothing but clocks changes while the
@@ -817,8 +812,6 @@ Machine::replayIdlePasses()
         if (cpu.current || _scheduler->heapSize(cpu.id) != 0)
             return;
         if (!_timers.empty() && _timers.topKey().first <= cpu.clock)
-            return;
-        if (safePointDue(cpu.clock))
             return;
         _scheduler->noteIdlePass(cpu.id);
         ++_idlePassesReplayed;
@@ -1210,15 +1203,6 @@ Machine::run()
 
         Cpu &cpu = _cpus[choice];
         wakeDueTimers(cpu.clock);
-
-        // Commit-boundary safe point: no fiber is mid-switch and the
-        // engine owns the thread, so the checkpoint layer may write a
-        // beacon or fork a holder here. One load + compare when armed,
-        // a null check when not (the default).
-        if (safePointDue(cpu.clock))
-            safePointReached(cpu.clock);
-        if (_config.faults)
-            _config.faults->maybeCycleCrash(cpu.clock);
 
         if (!cpu.current) {
             Thread *next;

@@ -7,26 +7,14 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <future>
 #include <iostream>
-#include <limits>
-#include <memory>
 #include <mutex>
 #include <thread>
-
-#include <csignal>
-#include <cstdio>
-#include <ctime>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "atl/fault/fault.hh"
 #include "atl/obs/export.hh"
-#include "atl/obs/metrics.hh"
-#include "atl/sim/journal.hh"
-#include "atl/sim/supervisor.hh"
 #include "atl/util/logging.hh"
 
 namespace atl
@@ -47,184 +35,63 @@ summariseFailures(const std::vector<SweepJobFailure> &failures)
             msg += " ...";
             break;
         }
-        msg += " [" + std::to_string(f.index) + " '" + f.name + "': " +
-               (f.timedOut ? "timed out" : f.message) + "]";
+        msg += " [" + std::to_string(f.index) + " '" + f.name +
+               "': " + f.message + "]";
         ++shown;
     }
     return msg;
 }
 
-/** Thread CPU time in microseconds (CLOCK_THREAD_CPUTIME_ID); 0 when
- *  the clock is unavailable. */
-uint64_t
-threadCpuMicros()
-{
-    timespec ts;
-    if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
-        return 0;
-    return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
-           static_cast<uint64_t>(ts.tv_nsec) / 1000ull;
-}
-
-/** One attempt's result; metrics valid only when ok. */
-struct AttemptResult
-{
-    bool ok = false;
-    RunMetrics metrics;
-    std::string message;
-    bool timedOut = false;
-    bool crashed = false;
-    int exitSignal = 0;
-    int exitCode = 0;
-    bool stalled = false;
-    uint64_t checkpointsTaken = 0;
-    unsigned checkpointResumes = 0;
-    uint64_t resumedFromCycle = 0;
-    uint64_t checkpointCyclesSaved = 0;
-};
-
-AttemptResult
-callAttempt(const std::function<RunMetrics()> &call)
-{
-    AttemptResult result;
-    try {
-        result.metrics = call();
-        result.ok = true;
-    } catch (const std::exception &e) {
-        result.message = e.what();
-    } catch (...) {
-        result.message = "unknown exception";
-    }
-    return result;
-}
-
 /**
- * Run one attempt, optionally bounded by a wall-clock timeout. C++
- * cannot kill a thread, so a timed-out attempt is *abandoned*: it keeps
- * running detached (writing only through the shared promise) while the
- * sweep moves on. promise/future rather than std::async because an
- * async future's destructor would block on the very attempt being
- * abandoned.
+ * Invoke fn(i) for every i in [0, n) on up to `workers` threads (the
+ * caller is one of them; 1 runs inline). Every index runs even when
+ * some throw: stopping early would leave other workers' in-flight jobs
+ * half-reported, and jobs are independent anyway.
+ * @return every failure, ordered by index
  */
-AttemptResult
-runAttempt(const std::function<RunMetrics()> &call,
-           const SweepOptions &options, MetricsRegistry *registry,
-           const std::function<void(uint64_t)> &on_checkpoint,
-           const std::function<void(uint64_t, unsigned)> &on_resume)
+std::vector<SweepJobFailure>
+runAll(size_t n, unsigned workers, const std::function<void(size_t)> &fn)
 {
-    double timeout_s = options.timeoutSeconds;
-    if (options.isolate) {
-        // Crash-isolated attempt: fork, marshal, reap. Every abnormal
-        // child death (signal, silent _exit, OOM-kill) and every
-        // timeout comes back as an attributable failure; the wedged
-        // child is SIGKILLed, not abandoned. The job's metrics
-        // registry rides the same pipe, and with checkpointCycles /
-        // stallTimeoutSeconds set the attempt runs the checkpointed
-        // protocol (holders, beacons, mid-cell resume) — see
-        // runSupervised(body, SupervisorOptions).
-        SupervisorOptions sup;
-        sup.timeoutSeconds = timeout_s;
-        sup.registry = registry;
-        sup.checkpointCycles = options.checkpointCycles;
-        sup.checkpointKeep = options.checkpointKeep;
-        sup.stallTimeoutSeconds = options.stallTimeoutSeconds;
-        sup.onCheckpoint = on_checkpoint;
-        sup.onResume = on_resume;
-        SupervisedResult s = runSupervised(call, sup);
-        AttemptResult result;
-        result.ok = s.ok;
-        result.metrics = std::move(s.metrics);
-        result.message = std::move(s.message);
-        result.timedOut = s.timedOut;
-        result.crashed = s.crashed;
-        result.exitSignal = s.exitSignal;
-        result.exitCode = s.exitCode;
-        result.stalled = s.stalled;
-        result.checkpointsTaken = s.checkpointsTaken;
-        result.checkpointResumes = s.resumes;
-        result.resumedFromCycle = s.resumedFromCycle;
-        result.checkpointCyclesSaved = s.cyclesSaved;
-        return result;
-    }
+    std::mutex error_mutex;
+    std::vector<SweepJobFailure> errors;
+    auto guarded = [&](size_t i) {
+        std::string message;
+        try {
+            fn(i);
+            return;
+        } catch (const std::exception &e) {
+            message = e.what();
+        } catch (...) {
+            message = "unknown exception";
+        }
+        std::lock_guard<std::mutex> lock(error_mutex);
+        errors.push_back({i, {}, std::move(message)});
+    };
 
-    if (timeout_s <= 0.0)
-        return callAttempt(call);
+    std::atomic<size_t> next{0};
+    auto work = [&]() {
+        for (;;) {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            guarded(i);
+        }
+    };
+    std::vector<std::thread> pool;
+    for (size_t w = 1; w < std::min<size_t>(workers, n); ++w)
+        pool.emplace_back(work);
+    work();
+    for (std::thread &t : pool)
+        t.join();
 
-    auto promise = std::make_shared<std::promise<AttemptResult>>();
-    std::future<AttemptResult> future = promise->get_future();
-    // The callable is copied into the detached thread: nothing the
-    // abandoned attempt touches can dangle when the caller returns.
-    std::thread([promise, call]() {
-        AttemptResult result = callAttempt(call);
-        promise->set_value(std::move(result));
-    }).detach();
-
-    if (future.wait_for(std::chrono::duration<double>(timeout_s)) ==
-        std::future_status::ready) {
-        return future.get();
-    }
-    AttemptResult result;
-    result.message =
-        "timed out after " + std::to_string(timeout_s) + "s";
-    result.timedOut = true;
-    return result;
+    std::sort(errors.begin(), errors.end(),
+              [](const SweepJobFailure &a, const SweepJobFailure &b) {
+                  return a.index < b.index;
+              });
+    return errors;
 }
 
 } // namespace
-
-SweepOptions
-sweepOptionsFromEnv(SweepOptions base)
-{
-    auto envDouble = [](const char *name, double &out) {
-        if (const char *env = std::getenv(name)) {
-            char *end = nullptr;
-            double v = std::strtod(env, &end);
-            if (end && end != env && *end == '\0' && v >= 0.0)
-                out = v;
-            else
-                atl_warn("ignoring malformed ", name, "='", env, "'");
-        }
-    };
-    auto envUnsigned = [](const char *name, unsigned &out) {
-        if (const char *env = std::getenv(name)) {
-            // strtoul silently wraps a negative string ("-1" becomes
-            // ULONG_MAX), so reject any sign character up front, and
-            // range-check against unsigned.
-            char *end = nullptr;
-            unsigned long v = std::strtoul(env, &end, 10);
-            if (!std::strchr(env, '-') && !std::strchr(env, '+') &&
-                end && end != env && *end == '\0' &&
-                v <= std::numeric_limits<unsigned>::max()) {
-                out = static_cast<unsigned>(v);
-            } else {
-                atl_warn("ignoring malformed ", name, "='", env, "'");
-            }
-        }
-    };
-    auto envUint64 = [](const char *name, uint64_t &out) {
-        if (const char *env = std::getenv(name)) {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(env, &end, 10);
-            if (!std::strchr(env, '-') && !std::strchr(env, '+') &&
-                end && end != env && *end == '\0') {
-                out = static_cast<uint64_t>(v);
-            } else {
-                atl_warn("ignoring malformed ", name, "='", env, "'");
-            }
-        }
-    };
-    if (const char *env = std::getenv("ATL_ISOLATE")) {
-        base.isolate = *env && std::string(env) != "0";
-    }
-    envDouble("ATL_SWEEP_TIMEOUT", base.timeoutSeconds);
-    envUnsigned("ATL_SWEEP_ATTEMPTS", base.maxAttempts);
-    envDouble("ATL_SWEEP_BACKOFF_MS", base.backoffBaseMs);
-    envUnsigned("ATL_SWEEP_KILL_AFTER", base.selfKillAfter);
-    envUint64("ATL_CKPT_CYCLES", base.checkpointCycles);
-    envUnsigned("ATL_CKPT_KEEP", base.checkpointKeep);
-    envDouble("ATL_SWEEP_STALL_TIMEOUT", base.stallTimeoutSeconds);
-    return base;
-}
 
 SweepFailure::SweepFailure(std::vector<SweepJobFailure> failures)
     : std::runtime_error(summariseFailures(failures)),
@@ -265,333 +132,26 @@ SweepRunner::deriveSeed(uint64_t base, uint64_t index)
 void
 SweepRunner::forEach(size_t n, const std::function<void(size_t)> &fn)
 {
-    if (n == 0)
-        return;
-
-    std::mutex error_mutex;
-    std::vector<SweepJobFailure> errors;
-
-    // Every index runs even when some throw: stopping early would
-    // leave other workers' in-flight jobs half-reported, and jobs are
-    // independent anyway. Failures are collected — all of them, not
-    // just the first — and reported together afterwards.
-    auto guarded = [&](size_t i) {
-        try {
-            fn(i);
-        } catch (const std::exception &e) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            errors.push_back({i, {}, e.what(), 1, false});
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            errors.push_back({i, {}, "unknown exception", 1, false});
-        }
-    };
-
-    size_t workers = std::min<size_t>(_jobs, n);
-    if (workers <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            guarded(i);
-    } else {
-        std::atomic<size_t> next{0};
-        auto work = [&]() {
-            for (;;) {
-                size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                guarded(i);
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (size_t w = 1; w < workers; ++w)
-            pool.emplace_back(work);
-        work();
-        for (std::thread &t : pool)
-            t.join();
-    }
-
-    if (!errors.empty()) {
-        std::sort(errors.begin(), errors.end(),
-                  [](const SweepJobFailure &a, const SweepJobFailure &b) {
-                      return a.index < b.index;
-                  });
-        throw SweepFailure(std::move(errors));
-    }
+    std::vector<SweepJobFailure> failures = runAll(n, _jobs, fn);
+    if (!failures.empty())
+        throw SweepFailure(std::move(failures));
 }
 
 SweepOutcome
-SweepRunner::runCollect(const std::vector<SweepJob> &sweep,
-                        const SweepOptions &options)
+SweepRunner::runCollect(const std::vector<SweepJob> &sweep)
 {
-    for (const SweepJob &job : sweep) {
-        atl_assert(job.body || job.seededBody, "sweep job '", job.name,
-                   "' has no body");
-    }
+    for (const SweepJob &job : sweep)
+        atl_assert(job.body, "sweep job '", job.name, "' has no body");
 
     SweepOutcome outcome;
     outcome.results.resize(sweep.size());
     outcome.ok.assign(sweep.size(), 0);
-    outcome.resumed.assign(sweep.size(), 0);
-    std::atomic<uint64_t> ckpt_resumes_total{0};
-    std::atomic<uint64_t> ckpt_cycles_saved_total{0};
-    std::mutex failures_mutex;
-    std::mutex telemetry_mutex;
-    std::atomic<unsigned> jobs_completed{0};
-    const unsigned max_attempts = std::max(1u, options.maxAttempts);
-
-    // SIGINT/SIGTERM during the sweep stop the engine from *starting*
-    // jobs (in-flight ones finish) so the caller can flush a partial
-    // report and, with a journal, resume from it on the next run.
-    SweepSignalGuard signal_guard;
-
-    if (options.journal) {
-        options.journal->beginSweep(
-            SweepJournal::configHash("sweep", sweep,
-                                     options.configFingerprint),
-            sweep.size());
-    }
-
-    // Sweep-level host metrics: cell timing, retries, backoff, cell
-    // outcomes. Like the telemetry below they are recorded from every
-    // pool worker, so updates share shard 0 under a lock — these are
-    // per-cell events, not a hot path.
-    struct HostMetricIds
-    {
-        MetricsRegistry::Id cellWallUs = 0;
-        MetricsRegistry::Id cellCpuUs = 0;
-        MetricsRegistry::Id retries = 0;
-        MetricsRegistry::Id backoffMs = 0;
-        MetricsRegistry::Id cellsCompleted = 0;
-        MetricsRegistry::Id cellsFailed = 0;
-        MetricsRegistry::Id cellsResumed = 0;
-    } host_ids;
-    std::mutex metrics_mutex;
-    if (options.metrics) {
-        MetricsRegistry &reg = *options.metrics;
-        host_ids.cellWallUs = reg.histogram("sweep.cell_wall_us");
-        host_ids.cellCpuUs = reg.histogram("sweep.cell_cpu_us");
-        host_ids.retries = reg.counter("sweep.retries");
-        host_ids.backoffMs = reg.counter("sweep.backoff_ms");
-        host_ids.cellsCompleted = reg.counter("sweep.cells.completed");
-        host_ids.cellsFailed = reg.counter("sweep.cells.failed");
-        host_ids.cellsResumed = reg.counter("sweep.cells.resumed");
-    }
-    auto count = [&](MetricsRegistry::Id id, uint64_t delta) {
-        if (!options.metrics)
-            return;
-        std::lock_guard<std::mutex> lock(metrics_mutex);
-        options.metrics->add(id, delta);
-    };
-
-    // Sweep-level recovery telemetry: the pool records from every
-    // worker, so unlike per-job logs this one needs a lock. Crashes,
-    // retries and resumes are rare, so contention is irrelevant.
-    auto emit = [&](EventKind kind, size_t index, uint64_t attempt,
-                    uint64_t detail) {
-        if (!options.telemetry)
-            return;
-        Event e;
-        e.kind = kind;
-        e.cpu = InvalidCpuId16;
-        e.n = index;
-        e.m = attempt;
-        e.t0 = detail;
-        std::lock_guard<std::mutex> lock(telemetry_mutex);
-        options.telemetry->record(e);
-    };
-
-    forEach(sweep.size(), [&](size_t i) {
-        const SweepJob &job = sweep[i];
-
-        if (options.journal) {
-            RunMetrics replayed;
-            Json replayed_registry;
-            uint64_t replayed_ckpt_resumes = 0;
-            uint64_t replayed_ckpt_saved = 0;
-            if (options.journal->completedMetrics(
-                    i, replayed, &replayed_registry,
-                    &replayed_ckpt_resumes, &replayed_ckpt_saved)) {
-                outcome.results[i] = std::move(replayed);
-                outcome.ok[i] = 1;
-                outcome.resumed[i] = 1;
-                // The cell never executes, so its registry updates
-                // come from the done-record snapshot instead.
-                if (job.metrics && replayed_registry.isObject() &&
-                    !job.metrics->mergeJson(replayed_registry)) {
-                    atl_warn("sweep job '", job.name, "': malformed ",
-                             "metrics registry in journal; replayed ",
-                             "cell loses its registry contribution");
-                }
-                // Checkpoint accounting rides the done-record so a
-                // journal-resumed sweep reports the same totals as the
-                // run that actually earned them.
-                ckpt_resumes_total += replayed_ckpt_resumes;
-                ckpt_cycles_saved_total += replayed_ckpt_saved;
-                count(host_ids.cellsResumed, 1);
-                emit(EventKind::SweepResume, i, 0, 0);
-                return;
-            }
-        }
-        if (SweepSignalGuard::interrupted())
-            return; // skipped; the journal resumes it next run
-
-        if (options.journal)
-            options.journal->noteStart(i, job.name);
-
-        // Cell timing covers every attempt plus backoff sleeps: the
-        // cost of getting the cell done, not of its best attempt.
-        auto cell_wall_start = std::chrono::steady_clock::now();
-        uint64_t cell_cpu_start = threadCpuMicros();
-        auto record_cell_time = [&] {
-            if (!options.metrics)
-                return;
-            std::chrono::duration<double, std::micro> wall =
-                std::chrono::steady_clock::now() - cell_wall_start;
-            uint64_t cpu_us = threadCpuMicros() - cell_cpu_start;
-            std::lock_guard<std::mutex> lock(metrics_mutex);
-            options.metrics->observe(
-                host_ids.cellWallUs,
-                static_cast<uint64_t>(std::max(0.0, wall.count())));
-            options.metrics->observe(host_ids.cellCpuUs, cpu_us);
-        };
-
-        SweepJobFailure failure;
-        failure.index = i;
-        failure.name = job.name;
-        uint64_t cell_ckpt_resumes = 0;
-        uint64_t cell_ckpt_saved = 0;
-        for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-            if (attempt > 0) {
-                // Exponential backoff with seeded jitter: doubling
-                // spreads load off a struggling host, jitter keeps many
-                // retrying jobs from re-colliding, and deriving it from
-                // (retrySeedBase, index, attempt) keeps reruns
-                // bit-reproducible.
-                uint64_t wait_ms = 0;
-                if (options.backoffBaseMs > 0.0) {
-                    double ms = options.backoffBaseMs *
-                                static_cast<double>(1ull << std::min(
-                                    attempt - 1, 20u));
-                    ms = std::min(ms, options.backoffMaxMs);
-                    uint64_t z = deriveSeed(
-                        deriveSeed(options.retrySeedBase ^
-                                       0x6a09e667f3bcc908ull,
-                                   options.seedIndexOffset + i),
-                        attempt);
-                    double jitter =
-                        0.5 + static_cast<double>(z >> 11) *
-                                  (1.0 / 9007199254740992.0);
-                    wait_ms = static_cast<uint64_t>(ms * jitter);
-                    failure.attemptsBackoffMs += wait_ms;
-                }
-                count(host_ids.retries, 1);
-                count(host_ids.backoffMs, wait_ms);
-                emit(EventKind::SweepRetry, i, attempt, wait_ms);
-                if (wait_ms > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(wait_ms));
-                }
-            }
-            std::function<RunMetrics()> call;
-            if (job.seededBody) {
-                // Fresh derived seed per attempt: a job wedged by one
-                // unlucky seed can succeed on the next try, still
-                // reproducibly.
-                uint64_t seed = deriveSeed(
-                    deriveSeed(options.retrySeedBase,
-                               options.seedIndexOffset + i),
-                    attempt);
-                auto body = job.seededBody;
-                call = [body, seed] { return body(seed); };
-            } else {
-                call = job.body;
-            }
-            AttemptResult result = runAttempt(
-                call, options, job.metrics,
-                [&](uint64_t cycle) {
-                    emit(EventKind::SweepCheckpoint, i, attempt, cycle);
-                },
-                [&](uint64_t cycle, unsigned) {
-                    emit(EventKind::SweepCkptResume, i, attempt, cycle);
-                });
-            failure.attempts = attempt + 1;
-            // Mid-cell resumes saved re-execution whether or not the
-            // cell ultimately succeeds, so accounting accumulates
-            // across attempts.
-            cell_ckpt_resumes += result.checkpointResumes;
-            cell_ckpt_saved += result.checkpointCyclesSaved;
-            ckpt_resumes_total += result.checkpointResumes;
-            ckpt_cycles_saved_total += result.checkpointCyclesSaved;
-            if (result.ok) {
-                outcome.results[i] = std::move(result.metrics);
-                outcome.ok[i] = 1;
-                record_cell_time();
-                count(host_ids.cellsCompleted, 1);
-                if (options.journal) {
-                    if (job.metrics) {
-                        Json snapshot = job.metrics->json();
-                        options.journal->noteDone(i, outcome.results[i],
-                                                  0, &snapshot,
-                                                  cell_ckpt_resumes,
-                                                  cell_ckpt_saved);
-                    } else {
-                        options.journal->noteDone(i, outcome.results[i],
-                                                  0, nullptr,
-                                                  cell_ckpt_resumes,
-                                                  cell_ckpt_saved);
-                    }
-                }
-                if (options.selfKillAfter &&
-                    jobs_completed.fetch_add(1) + 1 >=
-                        options.selfKillAfter) {
-                    // Chaos knob: simulate the sweep process dying hard
-                    // mid-run. The journal's fsync'd records are all
-                    // that survives — exactly what resume tests need.
-                    ::raise(SIGKILL);
-                }
-                return;
-            }
-            failure.message = std::move(result.message);
-            failure.timedOut = result.timedOut;
-            failure.crashed = result.crashed;
-            failure.exitSignal = result.exitSignal;
-            failure.exitCode = result.exitCode;
-            failure.stalled = result.stalled;
-            failure.checkpointResumes = cell_ckpt_resumes;
-            failure.resumedFromCycle = result.resumedFromCycle;
-            if (result.crashed || (result.timedOut && options.isolate)) {
-                emit(EventKind::SweepCrash, i, attempt,
-                     static_cast<uint64_t>(
-                         result.exitSignal > 0
-                             ? result.exitSignal
-                             : result.exitCode));
-            }
-            if (SweepSignalGuard::interrupted())
-                break;
-        }
-        record_cell_time();
-        count(host_ids.cellsFailed, 1);
-        if (options.journal)
-            options.journal->noteFailed(failure);
-        std::lock_guard<std::mutex> lock(failures_mutex);
-        outcome.failures.push_back(std::move(failure));
+    outcome.failures = runAll(sweep.size(), _jobs, [&](size_t i) {
+        outcome.results[i] = sweep[i].body();
+        outcome.ok[i] = 1;
     });
-
-    outcome.checkpointResumes = ckpt_resumes_total.load();
-    outcome.checkpointCyclesSaved = ckpt_cycles_saved_total.load();
-    outcome.interrupted = SweepSignalGuard::interrupted();
-    if (options.journal && outcome.complete()) {
-        // Clean end-to-end sweep: the journal has served its purpose;
-        // removing it makes the next run start fresh instead of
-        // replaying stale cells.
-        options.journal->remove();
-    }
-
-    std::sort(outcome.failures.begin(), outcome.failures.end(),
-              [](const SweepJobFailure &a, const SweepJobFailure &b) {
-                  return a.index < b.index;
-              });
+    for (SweepJobFailure &f : outcome.failures)
+        f.name = sweep[f.index].name;
 
     // Traced jobs: print their atl-trace-summary blocks in job order
     // (after the pool is quiet, so the output never interleaves).
@@ -605,10 +165,9 @@ SweepRunner::runCollect(const std::vector<SweepJob> &sweep,
 }
 
 std::vector<RunMetrics>
-SweepRunner::run(const std::vector<SweepJob> &sweep,
-                 const SweepOptions &options)
+SweepRunner::run(const std::vector<SweepJob> &sweep)
 {
-    SweepOutcome outcome = runCollect(sweep, options);
+    SweepOutcome outcome = runCollect(sweep);
     if (!outcome.complete())
         throw SweepFailure(std::move(outcome.failures));
     return std::move(outcome.results);
@@ -618,30 +177,12 @@ BenchReport::BenchReport(std::string bench_name)
     : _name(std::move(bench_name)), _doc(Json::object())
 {
     _doc["bench"] = Json(_name);
-    // Schema 8 adds mid-cell checkpoint/restore accounting: top-level
-    // checkpoint_resumes / checkpoint_cycles_saved (holder wakes and
-    // simulated cycles not re-executed, see sim/supervisor.hh), and
-    // per-failure stalled / checkpoint_resumes / resumed_from_cycle.
-    // (Schema 7 added the optional top-level "metrics" object written
-    // by noteMetrics: a merged MetricsRegistry snapshot ({"counters",
-    // "gauges", "histograms"}, see obs/metrics.hh);
-    // schema 6 the optional fabric fields written by
-    // noteFabricReport: top-level workers / stolen_runs and the
-    // worker_failures array (slot, pid, exit signal/code, cells lost);
-    // schema 5 crash-isolation fields: per-failure exit_signal /
-    // exit_code / crashed / attempts_backoff_ms, and the top-level
-    // resumed_runs count of cells replayed from a sweep journal;
-    // schema 4 the optional top-level "telemetry" object, see
-    // traceSummaryJson.)
-    _doc["schema"] = Json(8);
+    _doc["schema"] = Json(9);
     _doc["runs"] = Json::array();
-    // Partial-result status (schema 3): noteFailure clears the flag,
-    // so a report that lost cells says so instead of passing silently.
+    // noteFailure clears the flag, so a report that lost cells says so
+    // instead of passing silently.
     _doc["complete"] = Json(true);
     _doc["failed_runs"] = Json::array();
-    _doc["resumed_runs"] = Json(static_cast<uint64_t>(0));
-    _doc["checkpoint_resumes"] = Json(static_cast<uint64_t>(0));
-    _doc["checkpoint_cycles_saved"] = Json(static_cast<uint64_t>(0));
 }
 
 void
@@ -664,17 +205,6 @@ BenchReport::noteFailure(const SweepJobFailure &failure)
     entry["index"] = Json(static_cast<uint64_t>(failure.index));
     entry["name"] = Json(failure.name);
     entry["message"] = Json(failure.message);
-    entry["attempts"] = Json(static_cast<uint64_t>(failure.attempts));
-    entry["timed_out"] = Json(failure.timedOut);
-    // Schema 5: how the job died, when it died abnormally.
-    entry["crashed"] = Json(failure.crashed);
-    entry["exit_signal"] = Json(static_cast<int64_t>(failure.exitSignal));
-    entry["exit_code"] = Json(static_cast<int64_t>(failure.exitCode));
-    entry["attempts_backoff_ms"] = Json(failure.attemptsBackoffMs);
-    // Schema 8: stall-watchdog and mid-cell resume attribution.
-    entry["stalled"] = Json(failure.stalled);
-    entry["checkpoint_resumes"] = Json(failure.checkpointResumes);
-    entry["resumed_from_cycle"] = Json(failure.resumedFromCycle);
     _doc["failed_runs"].push(std::move(entry));
 }
 
@@ -687,31 +217,6 @@ BenchReport::noteOutcome(const SweepOutcome &outcome)
     }
     for (const SweepJobFailure &failure : outcome.failures)
         noteFailure(failure);
-    // Accumulate rather than overwrite: a bench that runs several
-    // sweeps into one report (bench_crash_matrix and its checkpointed
-    // column) keeps every sweep's recovery accounting.
-    _doc["resumed_runs"] =
-        Json(_doc["resumed_runs"].asUint() +
-             static_cast<uint64_t>(outcome.resumedRuns()));
-    _doc["checkpoint_resumes"] =
-        Json(_doc["checkpoint_resumes"].asUint() +
-             outcome.checkpointResumes);
-    _doc["checkpoint_cycles_saved"] =
-        Json(_doc["checkpoint_cycles_saved"].asUint() +
-             outcome.checkpointCyclesSaved);
-    if (outcome.interrupted) {
-        // A sweep cut short by SIGINT/SIGTERM: the skipped cells have
-        // no failure entries, so the flag (not failed_runs) is what
-        // marks this report partial.
-        _doc["complete"] = Json(false);
-        _doc["interrupted"] = Json(true);
-    }
-}
-
-void
-BenchReport::noteMetrics(const MetricsRegistry &metrics)
-{
-    _doc["metrics"] = metrics.json();
 }
 
 Json
@@ -729,14 +234,14 @@ BenchReport::toJson(const RunMetrics &metrics)
     json["sched_overhead_cycles"] = Json(metrics.schedOverheadCycles);
     json["verified"] = Json(metrics.verified);
     json["mpki"] = Json(metrics.mpki());
-    // Host-side diagnostics (schema 2): simulator throughput and block
-    // occupancy. Raw counts round-trip; the rates are derived views.
+    // Host-side diagnostics: simulator throughput and block occupancy.
+    // The rates are derived views of the raw counts.
     json["refs_issued"] = Json(metrics.refsIssued);
     json["ref_blocks"] = Json(metrics.refBlocks);
     json["host_seconds"] = Json(metrics.hostSeconds);
     json["refs_per_sec"] = Json(metrics.refsPerSec());
     json["batch_occupancy"] = Json(metrics.batchOccupancy());
-    // Fault/degradation counters (schema 3): all zero on a clean run.
+    // Fault/degradation counters: all zero on a clean run.
     json["fault_events"] = Json(metrics.degradation.faultEvents);
     json["implausible_samples"] =
         Json(metrics.degradation.implausibleSamples);
@@ -748,76 +253,8 @@ BenchReport::toJson(const RunMetrics &metrics)
         Json(metrics.degradation.fallbackRecoveries);
     json["fallback_intervals"] =
         Json(metrics.degradation.fallbackIntervals);
+    json["dropped_hints"] = Json(metrics.degradation.droppedHints);
     return json;
-}
-
-bool
-BenchReport::fromJson(const Json &json, RunMetrics &out)
-{
-    if (!json.isObject())
-        return false;
-    static const char *required[] = {
-        "workload",       "policy",           "num_cpus",
-        "makespan",       "e_misses",         "e_refs",
-        "instructions",   "context_switches", "sched_overhead_cycles",
-        "verified",       "refs_issued",      "ref_blocks",
-    };
-    for (const char *key : required) {
-        if (!json.has(key))
-            return false;
-    }
-
-    const std::string &policy = json.at("policy").asString();
-    bool known = false;
-    for (PolicyKind kind :
-         {PolicyKind::FCFS, PolicyKind::LFF, PolicyKind::CRT}) {
-        if (policy == policyName(kind)) {
-            out.policy = kind;
-            known = true;
-            break;
-        }
-    }
-    if (!known)
-        return false;
-
-    out.workload = json.at("workload").asString();
-    out.numCpus = static_cast<unsigned>(json.at("num_cpus").asUint());
-    out.makespan = json.at("makespan").asUint();
-    out.eMisses = json.at("e_misses").asUint();
-    out.eRefs = json.at("e_refs").asUint();
-    out.instructions = json.at("instructions").asUint();
-    out.contextSwitches = json.at("context_switches").asUint();
-    out.schedOverheadCycles = json.at("sched_overhead_cycles").asUint();
-    out.verified = json.at("verified").asBool();
-    out.refsIssued = json.at("refs_issued").asUint();
-    out.refBlocks = json.at("ref_blocks").asUint();
-    if (json.has("host_seconds"))
-        out.hostSeconds = json.at("host_seconds").asNumber();
-    // Schema-3 degradation counters; optional so schema-2 documents
-    // still round-trip (they default to a clean run).
-    if (json.has("fault_events"))
-        out.degradation.faultEvents = json.at("fault_events").asUint();
-    if (json.has("implausible_samples")) {
-        out.degradation.implausibleSamples =
-            json.at("implausible_samples").asUint();
-    }
-    if (json.has("torn_samples"))
-        out.degradation.tornSamples = json.at("torn_samples").asUint();
-    if (json.has("clamped_misses"))
-        out.degradation.clampedMisses = json.at("clamped_misses").asUint();
-    if (json.has("fallback_activations")) {
-        out.degradation.fallbackActivations =
-            json.at("fallback_activations").asUint();
-    }
-    if (json.has("fallback_recoveries")) {
-        out.degradation.fallbackRecoveries =
-            json.at("fallback_recoveries").asUint();
-    }
-    if (json.has("fallback_intervals")) {
-        out.degradation.fallbackIntervals =
-            json.at("fallback_intervals").asUint();
-    }
-    return true;
 }
 
 std::string
@@ -896,72 +333,12 @@ BenchReport::write() const
     // directory makes the rename itself durable. Without it a power
     // cut can resurrect the old report (or none) even though write()
     // already returned the new path.
-    fsyncParentDir(path);
-    return path;
-}
-
-void
-injectJobFaults(std::vector<SweepJob> &jobs, FaultInjector &faults)
-{
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        FaultInjector::JobFault fault = faults.jobFault(i);
-        switch (fault.kind) {
-          case FaultInjector::JobFaultKind::None:
-            break;
-          case FaultInjector::JobFaultKind::Throw: {
-            std::string name = jobs[i].name;
-            jobs[i].seededBody = nullptr;
-            jobs[i].body = [name]() -> RunMetrics {
-                throw std::runtime_error("injected fault: job '" + name +
-                                         "' failed");
-            };
-            break;
-          }
-          case FaultInjector::JobFaultKind::Hang: {
-            double seconds = fault.seconds;
-            if (jobs[i].seededBody) {
-                auto inner = jobs[i].seededBody;
-                jobs[i].seededBody = [inner, seconds](uint64_t seed) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(seconds));
-                    return inner(seed);
-                };
-            } else {
-                auto inner = jobs[i].body;
-                jobs[i].body = [inner, seconds]() {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(seconds));
-                    return inner();
-                };
-            }
-            break;
-          }
-          case FaultInjector::JobFaultKind::Crash: {
-            // Crash-prone cell: every attempt rolls its own fate from
-            // the attempt seed, so the wrapper must be a seededBody —
-            // that is how the sweep hands each retry a fresh seed. A
-            // plain body is simply called ignoring the seed.
-            double prob = fault.perAttemptProb;
-            if (jobs[i].seededBody) {
-                auto inner = jobs[i].seededBody;
-                jobs[i].seededBody = [inner, prob](uint64_t seed) {
-                    FaultInjector::executeCrash(
-                        FaultInjector::crashDecision(prob, seed));
-                    return inner(seed);
-                };
-            } else {
-                auto inner = jobs[i].body;
-                jobs[i].body = nullptr;
-                jobs[i].seededBody = [inner, prob](uint64_t seed) {
-                    FaultInjector::executeCrash(
-                        FaultInjector::crashDecision(prob, seed));
-                    return inner();
-                };
-            }
-            break;
-          }
-        }
+    int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dir_fd >= 0) {
+        ::fsync(dir_fd);
+        ::close(dir_fd);
     }
+    return path;
 }
 
 } // namespace atl

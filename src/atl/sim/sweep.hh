@@ -31,9 +31,6 @@ namespace atl
 {
 
 class EventLog;
-class FaultInjector;
-class MetricsRegistry;
-class SweepJournal;
 
 /** One independent simulation of a sweep. */
 struct SweepJob
@@ -43,170 +40,22 @@ struct SweepJob
     /** The run. Must be self-contained: builds its own Machine and
      *  touches no state shared with other jobs. */
     std::function<RunMetrics()> body;
-    /** Optional seed-parameterised variant: when set it is preferred
-     *  over body, and each retry attempt receives a fresh seed derived
-     *  from (SweepOptions::retrySeedBase, job index, attempt) — so a
-     *  run wedged by one unlucky seed can succeed on the next. */
-    std::function<RunMetrics(uint64_t seed)> seededBody = nullptr;
     /** Event log this job's body records into (owned by the caller,
      *  wired into the job's MachineConfig by the body itself). Jobs
      *  must not share a log. When set, runCollect() prints the
      *  atl-trace-summary block for the job after the sweep. */
     EventLog *trace = nullptr;
-    /** Metrics registry this job's body accumulates into (owned by the
-     *  caller, wired into the job's MachineConfig by the body itself).
-     *  Jobs must not share a registry — two concurrent cells would
-     *  contend for the same shards. When set: under SweepOptions::
-     *  isolate the forked child marshals the registry snapshot back
-     *  and the engine merges it here (a crashed attempt's updates are
-     *  discarded with the child); journalled sweeps persist the
-     *  snapshot in the cell's done-record and restore it on resume.
-     *  After the sweep, callers fold per-job registries together in
-     *  job order (the merge is order-independent anyway). */
-    MetricsRegistry *metrics = nullptr;
 };
 
-/** Failure-handling knobs for a sweep. Defaults reproduce the classic
- *  behaviour: one attempt, no timeout. */
-struct SweepOptions
-{
-    /** Attempts per job (>= 1). Retries only help jobs with a
-     *  seededBody; a plain body is deterministic and simply re-runs —
-     *  unless it crashes or times out under isolation, where a retry
-     *  gets a fresh child. */
-    unsigned maxAttempts = 1;
-    /** Per-attempt wall-clock timeout in seconds; 0 disables. A timed
-     *  out attempt counts as a failure (and may be retried). Under
-     *  isolate the wedged child is SIGKILLed and reaped, really
-     *  reclaiming the attempt; in-process the abandoned attempt's host
-     *  thread is left to finish detached — C++ cannot kill it — so
-     *  in-process timeouts are for surviving stragglers only. */
-    double timeoutSeconds = 0.0;
-    /** Base seed mixed into retry seeds for seededBody jobs (and into
-     *  the backoff jitter). */
-    uint64_t retrySeedBase = 0;
-    /** Added to each job's index when deriving per-attempt seeds and
-     *  backoff jitter. The sweep fabric runs cell i of a larger sweep
-     *  as a single-job sub-sweep inside a worker process; offsetting
-     *  the index makes that sub-sweep reproduce exactly the seeds the
-     *  serial sweep would have used for cell i — the fabric's
-     *  bit-identity invariant for seeded jobs. 0 (the default) keeps
-     *  classic behaviour. */
-    uint64_t seedIndexOffset = 0;
-    /** Run each attempt in a forked child (see sim/supervisor.hh):
-     *  SIGSEGV / abort / silent _exit / OOM-kill in a job become an
-     *  ordinary SweepJobFailure instead of killing the sweep. false
-     *  keeps the classic in-process path, bit-identical to before the
-     *  supervisor existed. */
-    bool isolate = false;
-    /** First retry delay in milliseconds; 0 disables backoff. Attempt
-     *  k waits backoffBaseMs * 2^(k-1), capped at backoffMaxMs and
-     *  scaled by a seeded jitter factor in [0.5, 1.5) so synchronized
-     *  retries of many jobs spread out deterministically. */
-    double backoffBaseMs = 0.0;
-    /** Backoff ceiling per retry, in milliseconds. */
-    double backoffMaxMs = 2000.0;
-    /** Durable journal (owned by the caller). When set, completed cells
-     *  recorded by a previous interrupted/crashed run of the same sweep
-     *  shape are replayed instead of re-run, every transition is
-     *  fsync'd as it happens, and a fully-clean sweep removes the
-     *  journal file. */
-    SweepJournal *journal = nullptr;
-    /** Configuration fingerprint folded into the journal's config
-     *  hash. Job names alone key only the sweep's *shape*; anything
-     *  else that changes a cell's metrics — workload parameters,
-     *  MachineConfig, policy tuning, fault plan and seeds — must be
-     *  serialised into this string (any stable text form), or a
-     *  journal from a run with different parameters would silently
-     *  replay its stale metrics as current results. Ignored without a
-     *  journal. */
-    std::string configFingerprint;
-    /** Sweep-level telemetry (owned by the caller, distinct from any
-     *  per-job log): crash, retry and journal-resume transitions are
-     *  recorded as SweepCrash/SweepRetry/SweepResume events. */
-    EventLog *telemetry = nullptr;
-    /** Sweep-level *host* metrics (owned by the caller, distinct from
-     *  any per-job registry): per-cell wall/CPU time histograms
-     *  (sweep.cell_wall_us / sweep.cell_cpu_us), retry and backoff
-     *  counters (sweep.retries / sweep.backoff_ms), and cell outcome
-     *  counters (sweep.cells.{completed,failed,resumed}). These
-     *  measure the *host*, so they are never bit-reproducible — keep
-     *  them out of registries used for determinism comparisons. CPU
-     *  time is the pool worker thread's (CLOCK_THREAD_CPUTIME_ID); an
-     *  isolated child's cycles are spent in another process and show
-     *  up only in the wall figure. */
-    MetricsRegistry *metrics = nullptr;
-    /** Fault-injection self-test knob: after this many completed jobs
-     *  the sweep process raises SIGKILL against itself, simulating a
-     *  hard mid-sweep crash (journal-resume smoke in check.sh --crash).
-     *  0 disables. */
-    unsigned selfKillAfter = 0;
-    /** Mid-cell checkpoint cadence in simulated cycles (requires
-     *  isolate): the supervised child forks a frozen copy-on-write
-     *  holder at commit boundaries every this-many cycles, and a
-     *  crashed/stalled/timed-out attempt resumes from its newest
-     *  holder instead of re-running from cycle zero (see
-     *  sim/supervisor.hh). 0 (the default) disables checkpointing and
-     *  keeps the attempt protocol byte-identical to before it
-     *  existed. */
-    uint64_t checkpointCycles = 0;
-    /** Checkpoint holders kept alive per attempt (newest N). */
-    unsigned checkpointKeep = 2;
-    /** Stall watchdog (requires isolate): kill an attempt whose
-     *  progress beacons stop for this many seconds — a wedged cell,
-     *  as opposed to a slow one — and attribute it stalled=true.
-     *  0 disables. */
-    double stallTimeoutSeconds = 0.0;
-};
-
-/**
- * Overlay environment knobs onto a base SweepOptions, so every bench
- * honours the same switches without per-bench plumbing:
- *   ATL_ISOLATE=1            run attempts in forked children
- *   ATL_SWEEP_TIMEOUT=<s>    per-attempt timeout, seconds
- *   ATL_SWEEP_ATTEMPTS=<n>   attempts per job
- *   ATL_SWEEP_BACKOFF_MS=<m> base retry backoff, milliseconds
- *   ATL_SWEEP_KILL_AFTER=<n> self-SIGKILL after n completed jobs
- *   ATL_CKPT_CYCLES=<c>      mid-cell checkpoint cadence, simulated
- *                            cycles (0/unset = off)
- *   ATL_CKPT_KEEP=<n>        checkpoint holders kept per attempt
- *   ATL_SWEEP_STALL_TIMEOUT=<s> stall watchdog, seconds (0/unset = off)
- * Journal attachment stays with the caller (it owns the object).
- */
-SweepOptions sweepOptionsFromEnv(SweepOptions base = {});
-
-/** What one failed sweep job looked like after its last attempt. */
+/** One failed sweep job. */
 struct SweepJobFailure
 {
     /** Index in the submitted job vector. */
     size_t index = 0;
-    /** SweepJob::name. */
+    /** SweepJob::name (empty for forEach() indices). */
     std::string name;
-    /** what() of the last exception, or a timeout note. */
+    /** what() of the exception the job threw. */
     std::string message;
-    /** Attempts consumed. */
-    unsigned attempts = 0;
-    /** True when the last attempt timed out rather than threw. */
-    bool timedOut = false;
-    /** True when the last attempt's child died abnormally (killed by a
-     *  signal, or a silent nonzero _exit). Only possible under
-     *  SweepOptions::isolate. */
-    bool crashed = false;
-    /** Signal that killed the last attempt's child (0 = none). */
-    int exitSignal = 0;
-    /** Nonzero exit status of the last attempt's child (0 = none). */
-    int exitCode = 0;
-    /** Total milliseconds spent in retry backoff across attempts. */
-    uint64_t attemptsBackoffMs = 0;
-    /** The stall watchdog killed the last attempt (progress beacons
-     *  stopped; distinct from the wall-clock timeout). */
-    bool stalled = false;
-    /** Checkpoint resumes consumed across the job's attempts — the
-     *  cell failed anyway (resume budget or holder chain exhausted). */
-    uint64_t checkpointResumes = 0;
-    /** Simulated cycle of the last attempt's newest resume (0 when it
-     *  never resumed). */
-    uint64_t resumedFromCycle = 0;
 };
 
 /**
@@ -242,33 +91,11 @@ struct SweepOutcome
     std::vector<RunMetrics> results;
     /** Per-job success flags, in job order. */
     std::vector<uint8_t> ok;
-    /** Per-job replay flags: 1 when the cell's metrics came from the
-     *  journal of a previous run instead of executing. */
-    std::vector<uint8_t> resumed;
     /** Failures, ordered by job index; empty on a clean sweep. */
     std::vector<SweepJobFailure> failures;
-    /** SIGINT/SIGTERM arrived mid-sweep: jobs not yet started were
-     *  skipped (their ok stays 0 with no failure entry). */
-    bool interrupted = false;
-    /** Mid-cell checkpoint resumes across every cell and attempt
-     *  (schema 8): times a crashed/stalled/timed-out attempt continued
-     *  from a forked holder instead of restarting. */
-    uint64_t checkpointResumes = 0;
-    /** Simulated cycles those resumes did *not* re-execute (the sum of
-     *  resumed-from cycles — the work checkpointing salvaged). */
-    uint64_t checkpointCyclesSaved = 0;
 
     /** True when every job succeeded. */
-    bool complete() const { return failures.empty() && !interrupted; }
-
-    /** Cells replayed from a journal instead of executed. */
-    size_t resumedRuns() const
-    {
-        size_t n = 0;
-        for (uint8_t r : resumed)
-            n += r;
-        return n;
-    }
+    bool complete() const { return failures.empty(); }
 };
 
 /**
@@ -293,8 +120,7 @@ class SweepRunner
      * pool — every job still runs — and afterwards a SweepFailure
      * carrying *all* job failures is thrown if there were any.
      */
-    std::vector<RunMetrics> run(const std::vector<SweepJob> &sweep,
-                                const SweepOptions &options = {});
+    std::vector<RunMetrics> run(const std::vector<SweepJob> &sweep);
 
     /**
      * Like run(), but failures are returned instead of thrown: the
@@ -302,8 +128,7 @@ class SweepRunner
      * record of every failure, so a bench can report partial results
      * rather than lose the whole sweep to one bad cell.
      */
-    SweepOutcome runCollect(const std::vector<SweepJob> &sweep,
-                            const SweepOptions &options = {});
+    SweepOutcome runCollect(const std::vector<SweepJob> &sweep);
 
     /**
      * Generic parallel for: invoke fn(i) for every i in [0, n), spread
@@ -367,27 +192,15 @@ class BenchReport
     void addRun(const RunMetrics &metrics);
 
     /** Record one failed job: clears the complete flag and appends an
-     *  entry to the failed_runs array (schema 3). */
+     *  {index, name, message} entry to the failed_runs array. */
     void noteFailure(const SweepJobFailure &failure);
 
     /** Append a whole sweep outcome: successful runs via addRun (in
      *  job order), failures via noteFailure. */
     void noteOutcome(const SweepOutcome &outcome);
 
-    /** Embed a merged metrics registry as the top-level "metrics"
-     *  object (schema 7). Benches that compare reports across serial
-     *  and fabric execution must embed only simulation-derived
-     *  registries here — host-timing metrics differ run to run. */
-    void noteMetrics(const MetricsRegistry &metrics);
-
     /** Serialise RunMetrics to a JSON object. */
     static Json toJson(const RunMetrics &metrics);
-
-    /**
-     * Rebuild RunMetrics from toJson() output.
-     * @retval false when required fields are missing or malformed
-     */
-    static bool fromJson(const Json &json, RunMetrics &out);
 
     /** The accumulated document. */
     const Json &document() const { return _doc; }
@@ -408,14 +221,6 @@ class BenchReport
     std::string _name;
     Json _doc;
 };
-
-/**
- * Wrap each job's body so it suffers the injector's per-job fault
- * decision (throw or hang) before running. Decisions are drawn on the
- * calling thread, up front, so the injector needs no locking; they
- * depend only on (injector seed, job index).
- */
-void injectJobFaults(std::vector<SweepJob> &jobs, FaultInjector &faults);
 
 } // namespace atl
 

@@ -84,8 +84,7 @@ class Json
     /** Serialise with 2-space indentation and a trailing newline. */
     std::string dump() const;
 
-    /** Serialise on one line with no whitespace — the JSONL form the
-     *  sweep journal and the child-process metrics pipe use. */
+    /** Serialise on one line with no whitespace. */
     std::string dumpCompact() const;
 
     /**

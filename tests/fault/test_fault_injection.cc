@@ -3,7 +3,7 @@
  * Tests for the fault-injection subsystem and the graceful-degradation
  * guarantee it exists to check: an empty plan is bit-identical to no
  * injector at all, a (plan, seed) pair replays the same faults, and
- * under aggressive counter/annotation/job corruption every workload
+ * under aggressive counter/annotation corruption every workload
  * still terminates with verified output while the scheduler visibly
  * falls back and recovers.
  */
@@ -13,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "atl/fault/fault.hh"
 #include "atl/sim/experiment.hh"
@@ -129,8 +130,15 @@ TEST(FaultPlanTest, EmptyAndCannedPlans)
     wrap_only.picWrapBias = true;
     EXPECT_FALSE(wrap_only.empty());
 
+    // fullChaos covers both hint surfaces.
+    FaultPlan full = FaultPlan::fullChaos();
+    EXPECT_TRUE(full.picWrapBias);
+    EXPECT_GT(full.shareDropProb, 0.0);
+
     EXPECT_FALSE(FaultInjector(FaultPlan{}).active());
-    EXPECT_TRUE(FaultInjector(FaultPlan::counterChaos()).active());
+    for (const FaultPlan &plan :
+         {FaultPlan::counterChaos(), FaultPlan::annotationChaos(), full})
+        EXPECT_TRUE(FaultInjector(plan).active());
 }
 
 TEST(FaultInjectorTest, EmptyPlanIsBitIdenticalToNoInjector)
@@ -319,84 +327,225 @@ TEST(FaultInjectorTest, FullChaosEveryWorkloadTerminatesVerified)
     }
 }
 
-TEST(FaultInjectorTest, JobFaultDecisionsAreStablePerIndex)
+TEST(FaultPlanTest, EachFaultClassAloneMakesThePlanNonEmpty)
 {
-    FaultPlan plan;
-    plan.jobThrowProb = 0.5;
-    plan.jobHangProb = 0.25;
-    FaultInjector a(plan, 17);
-    FaultInjector b(plan, 17);
-    bool saw_throw = false, saw_hang = false, saw_none = false;
-    for (size_t i = 0; i < 64; ++i) {
-        FaultInjector::JobFault fa = a.jobFault(i);
-        FaultInjector::JobFault fb = b.jobFault(i);
-        EXPECT_EQ(static_cast<int>(fa.kind), static_cast<int>(fb.kind));
-        switch (fa.kind) {
-          case FaultInjector::JobFaultKind::Throw: saw_throw = true; break;
-          case FaultInjector::JobFaultKind::Hang:
-            saw_hang = true;
-            EXPECT_DOUBLE_EQ(fa.seconds, plan.jobHangSeconds);
-            break;
-          case FaultInjector::JobFaultKind::None: saw_none = true; break;
-          case FaultInjector::JobFaultKind::Crash:
-            // jobCrashProb is 0 in this plan, so Crash never rolls.
-            FAIL() << "crash fault rolled with jobCrashProb == 0";
-            break;
-        }
+    std::vector<FaultPlan> plans(8);
+    plans[0].picWrapBias = true;
+    plans[1].sampleLossProb = 0.1;
+    plans[2].readNoiseProb = 0.1;
+    plans[3].tornSnapshotProb = 0.1;
+    plans[4].shareDropProb = 0.1;
+    plans[5].shareWrongQProb = 0.1;
+    plans[6].shareDanglingProb = 0.1;
+    plans[7].shareChurnProb = 0.1;
+    for (size_t i = 0; i < plans.size(); ++i) {
+        EXPECT_FALSE(plans[i].empty()) << "fault class " << i;
+        EXPECT_TRUE(FaultInjector(plans[i]).active()) << "fault class " << i;
     }
-    EXPECT_TRUE(saw_throw);
-    EXPECT_TRUE(saw_hang);
-    EXPECT_TRUE(saw_none);
+    // The noise ceiling only scales an enabled class; alone it is inert.
+    FaultPlan ceiling_only;
+    ceiling_only.readNoiseFactorMax = 2.0;
+    EXPECT_TRUE(ceiling_only.empty());
 }
 
-TEST(FaultInjectorTest, InjectJobFaultsExercisesSweepHardening)
+TEST(FaultPlanTest, CannedPlansStayOnTheirSurface)
 {
-    // Sabotage a sweep with injected throws and hangs; the hardened
-    // runner must retry past them (throws are sticky per index, so the
-    // survivors are exactly the un-sabotaged jobs) and collect the rest
-    // into an ordered failure list.
+    FaultPlan counters = FaultPlan::counterChaos();
+    EXPECT_TRUE(counters.picWrapBias);
+    EXPECT_GT(counters.sampleLossProb, 0.0);
+    EXPECT_GT(counters.readNoiseProb, 0.0);
+    EXPECT_GT(counters.tornSnapshotProb, 0.0);
+    EXPECT_EQ(counters.shareDropProb, 0.0);
+    EXPECT_EQ(counters.shareWrongQProb, 0.0);
+    EXPECT_EQ(counters.shareDanglingProb, 0.0);
+    EXPECT_EQ(counters.shareChurnProb, 0.0);
+
+    FaultPlan shares = FaultPlan::annotationChaos();
+    EXPECT_FALSE(shares.picWrapBias);
+    EXPECT_EQ(shares.sampleLossProb, 0.0);
+    EXPECT_EQ(shares.readNoiseProb, 0.0);
+    EXPECT_EQ(shares.tornSnapshotProb, 0.0);
+    EXPECT_GT(shares.shareDropProb, 0.0);
+    EXPECT_GT(shares.shareWrongQProb, 0.0);
+    EXPECT_GT(shares.shareDanglingProb, 0.0);
+    EXPECT_GT(shares.shareChurnProb, 0.0);
+}
+
+TEST(FaultPlanTest, FullChaosKeepsTheCounterChaosSettings)
+{
+    FaultPlan counters = FaultPlan::counterChaos();
+    FaultPlan full = FaultPlan::fullChaos();
+    EXPECT_EQ(full.picWrapBias, counters.picWrapBias);
+    EXPECT_EQ(full.sampleLossProb, counters.sampleLossProb);
+    EXPECT_EQ(full.readNoiseProb, counters.readNoiseProb);
+    EXPECT_EQ(full.readNoiseFactorMax, counters.readNoiseFactorMax);
+    EXPECT_EQ(full.tornSnapshotProb, counters.tornSnapshotProb);
+    EXPECT_GT(full.shareWrongQProb, 0.0);
+    EXPECT_GT(full.shareDanglingProb, 0.0);
+    EXPECT_GT(full.shareChurnProb, 0.0);
+}
+
+TEST(FaultInjectorTest, InertInjectorLeavesEveryInputAlone)
+{
+    FaultInjector inert((FaultPlan()));
+    EXPECT_EQ(inert.picBias(0, 0), 0u);
+    EXPECT_EQ(inert.picBias(3, 1), 0u);
+    uint32_t refs = 1000, hits = 900;
+    EXPECT_FALSE(inert.perturbSnapshot(500, 400, refs, hits));
+    EXPECT_EQ(refs, 1000u);
+    EXPECT_EQ(hits, 900u);
+    ThreadId dst = 3;
+    double q = 0.5;
+    ShareFault f = inert.perturbShare(1, dst, q, 8);
+    EXPECT_FALSE(f.drop);
+    EXPECT_FALSE(f.churn);
+    EXPECT_EQ(dst, ThreadId(3));
+    EXPECT_EQ(q, 0.5);
+    EXPECT_EQ(inert.stats().total(), 0u);
+}
+
+TEST(FaultInjectorTest, PicBiasSitsJustBelowTheWrap)
+{
     FaultPlan plan;
-    plan.jobThrowProb = 0.4;
-    plan.jobHangSeconds = 0.01;
-    plan.jobHangProb = 0.3;
-    FaultInjector inj(plan, 23);
-
-    constexpr size_t n = 24;
-    std::vector<SweepJob> jobs;
-    for (size_t i = 0; i < n; ++i) {
-        jobs.push_back({"job" + std::to_string(i), [i] {
-                            RunMetrics m;
-                            m.makespan = i;
-                            m.verified = true;
-                            return m;
-                        }});
-    }
-    injectJobFaults(jobs, inj);
-    EXPECT_GT(inj.stats().jobsThrown, 0u);
-    EXPECT_GT(inj.stats().jobsHung, 0u);
-
-    SweepOptions options;
-    options.maxAttempts = 2;
-    SweepOutcome outcome = SweepRunner(4).runCollect(jobs, options);
-    ASSERT_EQ(outcome.results.size(), n);
-    EXPECT_FALSE(outcome.complete());
-    size_t failed = 0;
-    for (size_t i = 0; i < n; ++i) {
-        FaultInjector::JobFault f = FaultInjector(plan, 23).jobFault(i);
-        if (f.kind == FaultInjector::JobFaultKind::Throw) {
-            EXPECT_FALSE(outcome.ok[i]) << i;
-            ++failed;
-        } else {
-            // Hung jobs just run slower; no timeout configured here.
-            EXPECT_TRUE(outcome.ok[i]) << i;
-            EXPECT_EQ(outcome.results[i].makespan, i);
+    plan.picWrapBias = true;
+    FaultInjector inj(plan, 3);
+    for (CpuId cpu = 0; cpu < 4; ++cpu) {
+        for (unsigned pic = 0; pic < 2; ++pic) {
+            uint32_t bias = inj.picBias(cpu, pic);
+            EXPECT_GE(bias, 0xFFFF0000u);
+            EXPECT_LT(bias, 0xFFFF8000u);
         }
     }
-    ASSERT_EQ(outcome.failures.size(), failed);
-    for (const SweepJobFailure &f : outcome.failures) {
-        EXPECT_EQ(f.attempts, 2u);
-        EXPECT_NE(f.message.find("injected fault"), std::string::npos);
+    EXPECT_EQ(inj.stats().picBiases, 8u);
+    EXPECT_EQ(inj.stats().total(), 8u);
+
+    // Without the bias flag other classes never touch the initial PICs.
+    FaultInjector other(FaultPlan::annotationChaos(), 3);
+    EXPECT_EQ(other.picBias(0, 0), 0u);
+    EXPECT_EQ(other.stats().picBiases, 0u);
+}
+
+TEST(FaultInjectorTest, SampleLossEitherFreezesOrGarblesTheReading)
+{
+    FaultPlan plan;
+    plan.sampleLossProb = 1.0;
+    FaultInjector inj(plan, 17);
+    size_t frozen = 0, garbled = 0;
+    for (int i = 0; i < 64; ++i) {
+        uint32_t refs = 1000, hits = 900;
+        EXPECT_TRUE(inj.perturbSnapshot(500, 400, refs, hits));
+        if (refs == 500 && hits == 400)
+            ++frozen;
+        else
+            ++garbled;
     }
+    EXPECT_GT(frozen, 0u);
+    EXPECT_GT(garbled, 0u);
+    EXPECT_EQ(inj.stats().samplesLost, 64u);
+}
+
+TEST(FaultInjectorTest, ReadNoiseOnlyInflatesTheRefsDelta)
+{
+    FaultPlan plan;
+    plan.readNoiseProb = 1.0;
+    plan.readNoiseFactorMax = 4.0;
+    FaultInjector inj(plan, 21);
+    for (int i = 0; i < 64; ++i) {
+        uint32_t refs = 1100, hits = 1050;
+        EXPECT_TRUE(inj.perturbSnapshot(1000, 1000, refs, hits));
+        EXPECT_EQ(hits, 1050u) << "noise must not touch the hits PIC";
+        EXPECT_GE(refs - 1000u, 100u);
+        EXPECT_LE(refs - 1000u, 400u);
+    }
+    EXPECT_EQ(inj.stats().readsNoised, 64u);
+}
+
+TEST(FaultInjectorTest, TornSnapshotsSurviveACounterWrap)
+{
+    // The torn hits reading is built with 32-bit arithmetic, so a
+    // snapshot taken just before the PICs wrap still tears the right
+    // way: hits delta > refs delta.
+    FaultPlan plan;
+    plan.tornSnapshotProb = 1.0;
+    FaultInjector inj(plan, 8);
+    uint32_t refs_snap = 0xFFFFFF00u, hits_snap = 0xFFFFFFF0u;
+    for (int i = 0; i < 32; ++i) {
+        uint32_t refs = refs_snap + 0x200u, hits = hits_snap + 0x100u;
+        EXPECT_TRUE(inj.perturbSnapshot(refs_snap, hits_snap, refs, hits));
+        EXPECT_GT(static_cast<uint32_t>(hits - hits_snap),
+                  static_cast<uint32_t>(refs - refs_snap));
+    }
+    EXPECT_EQ(inj.stats().tornSnapshots, 32u);
+}
+
+TEST(FaultInjectorTest, PerturbSnapshotReportsExactlyTheInjectedReads)
+{
+    // The return value tags the telemetry sample as faulted, so it must
+    // agree one-for-one with the counter-surface tallies.
+    FaultInjector inj(FaultPlan::counterChaos(), 99);
+    uint64_t fired = 0;
+    for (int i = 0; i < 500; ++i) {
+        uint32_t refs = 2000, hits = 1500;
+        if (inj.perturbSnapshot(1000, 1000, refs, hits))
+            ++fired;
+    }
+    const FaultStats &s = inj.stats();
+    EXPECT_EQ(fired, s.samplesLost + s.readsNoised + s.tornSnapshots);
+    EXPECT_GT(fired, 0u);
+    EXPECT_LT(fired, 500u);
+}
+
+TEST(FaultInjectorTest, SameSeedDrawsTheSameShareFaults)
+{
+    FaultInjector a(FaultPlan::annotationChaos(), 31);
+    FaultInjector b(FaultPlan::annotationChaos(), 31);
+    for (int i = 0; i < 200; ++i) {
+        ThreadId da = 2, db = 2;
+        double qa = 0.25, qb = 0.25;
+        ShareFault fa = a.perturbShare(1, da, qa, 6);
+        ShareFault fb = b.perturbShare(1, db, qb, 6);
+        ASSERT_EQ(fa.drop, fb.drop) << i;
+        ASSERT_EQ(fa.churn, fb.churn) << i;
+        ASSERT_EQ(fa.churnQ, fb.churnQ) << i;
+        ASSERT_EQ(da, db) << i;
+        ASSERT_EQ(qa, qb) << i;
+    }
+    EXPECT_EQ(a.stats().total(), b.stats().total());
+}
+
+TEST(FaultInjectorTest, DroppedShareIsNotAlsoRewritten)
+{
+    // A dropped call never reaches the annotation table, so the other
+    // annotation classes must not also fire (and count) on it.
+    FaultPlan plan;
+    plan.shareDropProb = 1.0;
+    plan.shareWrongQProb = 1.0;
+    plan.shareDanglingProb = 1.0;
+    plan.shareChurnProb = 1.0;
+    FaultInjector inj(plan, 4);
+    ThreadId dst = 5;
+    double q = 0.75;
+    ShareFault f = inj.perturbShare(1, dst, q, 8);
+    EXPECT_TRUE(f.drop);
+    EXPECT_FALSE(f.churn);
+    EXPECT_EQ(dst, ThreadId(5));
+    EXPECT_EQ(q, 0.75);
+    EXPECT_EQ(inj.stats().total(), inj.stats().sharesDropped);
+}
+
+TEST(FaultStatsTest, TotalSumsEveryClass)
+{
+    FaultStats s;
+    EXPECT_EQ(s.total(), 0u);
+    s.picBiases = 1;
+    s.samplesLost = 2;
+    s.readsNoised = 4;
+    s.tornSnapshots = 8;
+    s.sharesDropped = 16;
+    s.sharesMisweighted = 32;
+    s.sharesRedirected = 64;
+    s.sharesChurned = 128;
+    EXPECT_EQ(s.total(), 255u);
 }
 
 } // namespace

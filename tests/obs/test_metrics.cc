@@ -2,17 +2,15 @@
  * @file
  * Metrics-layer tests (obs/metrics.hh): histogram bucket boundaries
  * and saturation, bit-identical merge algebra (associative and
- * commutative), registry snapshots and their json round trip, the
+ * commutative), histogram snapshots and their json round trip, the
  * machine-level invariants — merged registry identical across
  * hostShards {1, 2, 4}; attaching a registry never changes RunMetrics
- * or the telemetry stream — plus the journal's registry persistence
- * and the loud-unreadable-shard replay path.
+ * or the telemetry stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "atl/obs/metrics.hh"
 #include "atl/runtime/machine.hh"
 #include "atl/sim/experiment.hh"
-#include "atl/sim/journal.hh"
 #include "atl/workloads/tasks.hh"
 
 namespace atl
@@ -186,22 +183,96 @@ TEST(MetricsRegistryTest, MergeIsCommutativeAcrossRegistrationOrder)
     EXPECT_EQ(ab.histogramTotal("x.hist").total, 2u);
 }
 
-TEST(MetricsRegistryTest, JsonSnapshotRoundTripsThroughMergeJson)
+TEST(MetricsRegistryTest, RegistrationIsGetOrCreatePerKind)
+{
+    MetricsRegistry r;
+    MetricsRegistry::Id a = r.counter("a");
+    MetricsRegistry::Id b = r.counter("b");
+    EXPECT_NE(a, b);
+    EXPECT_EQ(r.counter("a"), a);
+    // Each kind has its own dense id space, so a gauge and a histogram
+    // may share a name with a counter without aliasing its slots.
+    MetricsRegistry::Id ga = r.gauge("a");
+    MetricsRegistry::Id ha = r.histogram("a");
+    r.add(a, 4);
+    r.set(ga, 2.5);
+    r.observe(ha, 16);
+    EXPECT_EQ(r.counterTotal("a"), 4u);
+    double value = 0.0;
+    uint64_t updates = 0;
+    ASSERT_TRUE(r.gaugeFinal("a", value, updates));
+    EXPECT_EQ(value, 2.5);
+    EXPECT_EQ(r.histogramTotal("a").total, 1u);
+    EXPECT_EQ(r.histogramTotal("a").sum, 16u);
+}
+
+TEST(MetricsRegistryTest, ResetZeroesSlotsAndKeepsRegistrations)
 {
     MetricsRegistry r(2);
-    r.add(r.counter("runs"), 9, 1);
-    r.set(r.gauge("mare"), 1.5, 0);
-    r.observe(r.histogram("lat"), 300, 1);
+    MetricsRegistry::Id c = r.counter("c");
+    MetricsRegistry::Id g = r.gauge("g");
+    MetricsRegistry::Id h = r.histogram("h");
+    r.add(c, 9, 1);
+    r.set(g, 3.0, 0);
+    r.observe(h, 7, 1);
+    std::string before = r.json().dumpCompact();
+    r.reset();
 
-    MetricsRegistry back;
-    ASSERT_TRUE(back.mergeJson(r.json()));
-    EXPECT_EQ(back.json().dumpCompact(), r.json().dumpCompact());
+    MetricsRegistry fresh(2);
+    fresh.counter("c");
+    fresh.gauge("g");
+    fresh.histogram("h");
+    EXPECT_EQ(r.json().dumpCompact(), fresh.json().dumpCompact());
+    EXPECT_NE(r.json().dumpCompact(), before);
+    double value = 0.0;
+    uint64_t updates = 0;
+    EXPECT_FALSE(r.gaugeFinal("g", value, updates));
+    // The old handles still address the same metrics.
+    r.add(c, 1, 0);
+    EXPECT_EQ(r.counterTotal("c"), 1u);
+    EXPECT_EQ(r.shards(), 2u);
+}
 
-    // Folding the same snapshot into a populated registry adds.
-    ASSERT_TRUE(back.mergeJson(r.json()));
-    EXPECT_EQ(back.counterTotal("runs"), 18u);
+TEST(MetricsRegistryTest, EnsureShardsOnlyGrows)
+{
+    MetricsRegistry r;
+    MetricsRegistry::Id c = r.counter("c");
+    EXPECT_EQ(r.shards(), 1u);
+    r.ensureShards(4);
+    EXPECT_EQ(r.shards(), 4u);
+    r.add(c, 5, 3);
+    r.ensureShards(2);
+    EXPECT_EQ(r.shards(), 4u);
+    EXPECT_EQ(r.counterTotal("c"), 5u);
+    // Metrics registered after growth get slots in every shard.
+    MetricsRegistry::Id late = r.counter("late");
+    r.add(late, 2, 3);
+    EXPECT_EQ(r.counterTotal("late"), 2u);
+}
 
-    EXPECT_FALSE(MetricsRegistry().mergeJson(Json("nonsense")));
+TEST(MetricsRegistryTest, SnapshotListsEveryMetricByName)
+{
+    MetricsRegistry r(2);
+    r.counter("z.count");
+    MetricsRegistry::Id c = r.counter("a.count");
+    r.gauge("unset.gauge");
+    r.histogram("h");
+    r.add(c, 3, 1);
+
+    Json doc = r.json();
+    ASSERT_TRUE(doc.at("counters").isObject());
+    std::vector<std::string> counters;
+    for (const auto &member : doc.at("counters").members())
+        counters.push_back(member.first);
+    EXPECT_EQ(counters, (std::vector<std::string>{"a.count", "z.count"}));
+    EXPECT_EQ(doc.at("counters").at("a.count").asUint(), 3u);
+    EXPECT_EQ(doc.at("counters").at("z.count").asUint(), 0u);
+    const Json &gauge = doc.at("gauges").at("unset.gauge");
+    EXPECT_EQ(gauge.at("updates").asUint(), 0u);
+    EXPECT_EQ(gauge.at("value").asNumber(), 0.0);
+    MetricHistogram h;
+    ASSERT_TRUE(h.fromJson(doc.at("histograms").at("h")));
+    EXPECT_EQ(h.total, 0u);
 }
 
 // ---- Machine-level invariants --------------------------------------
@@ -267,78 +338,6 @@ TEST(MetricsMachineTest, AttachingARegistryChangesNothingObservable)
     EXPECT_EQ(plain_log.events(), metered_log.events())
         << "attaching a metrics registry changed the telemetry stream";
     EXPECT_GT(registry.counterTotal("machine.intervals"), 0u);
-}
-
-// ---- Journal persistence and the unreadable-shard path -------------
-
-TEST(MetricsJournalTest, RegistryRoundTripsThroughDoneRecords)
-{
-    std::string path =
-        ::testing::TempDir() + "/atl_metrics_journal.jsonl";
-    std::remove(path.c_str());
-
-    MetricsRegistry registry;
-    registry.add(registry.counter("machine.intervals"), 123, 0);
-    registry.observe(registry.histogram("machine.interval_cycles"), 40,
-                     0);
-    Json snapshot = registry.json();
-
-    RunMetrics m;
-    m.workload = "journalled";
-    m.makespan = 4242;
-    m.verified = true;
-    {
-        SweepJournal journal("metrics_rt", path);
-        ASSERT_EQ(journal.beginSweep(0x1234, 2), 0u);
-        journal.noteDone(0, m, 10, &snapshot);
-        journal.noteDone(1, m, 11); // registry stays optional
-    }
-
-    SweepJournal reader("metrics_rt", path);
-    ASSERT_EQ(reader.beginSweep(0x1234, 2), 2u);
-    RunMetrics replayed;
-    Json replayed_registry;
-    ASSERT_TRUE(reader.completedMetrics(0, replayed, &replayed_registry));
-    EXPECT_EQ(replayed.makespan, 4242u);
-    ASSERT_TRUE(replayed_registry.isObject());
-
-    MetricsRegistry restored;
-    ASSERT_TRUE(restored.mergeJson(replayed_registry));
-    EXPECT_EQ(restored.json().dumpCompact(), snapshot.dumpCompact());
-    EXPECT_EQ(restored.counterTotal("machine.intervals"), 123u);
-
-    Json none;
-    ASSERT_TRUE(reader.completedMetrics(1, replayed, &none));
-    EXPECT_FALSE(none.isObject());
-    std::remove(path.c_str());
-}
-
-TEST(MetricsJournalTest, ReplayReportsUnreadableShardLoudly)
-{
-    // A missing journal is a normal first run (quiet); a journal that
-    // exists but cannot be opened must surface path + OS error so
-    // completed work is not silently re-run. EACCES is untestable as
-    // root, so force ENOTDIR: a path whose parent is a regular file.
-    std::string io_error;
-    std::vector<ReplayedCell> cells;
-    EXPECT_FALSE(SweepJournal::replay(
-        ::testing::TempDir() + "/atl_no_such_journal.jsonl", "b", 1, 1,
-        cells, &io_error));
-    EXPECT_TRUE(io_error.empty()) << io_error;
-
-    std::string blocker = ::testing::TempDir() + "/atl_blocker_file";
-    {
-        std::ofstream out(blocker);
-        out << "not a directory\n";
-    }
-    std::string inside = blocker + "/journal.jsonl";
-    EXPECT_FALSE(
-        SweepJournal::replay(inside, "b", 1, 1, cells, &io_error));
-    EXPECT_FALSE(io_error.empty())
-        << "ENOTDIR open failure should set io_error";
-    EXPECT_NE(io_error.find(inside), std::string::npos)
-        << "io_error should name the shard path: " << io_error;
-    std::remove(blocker.c_str());
 }
 
 } // namespace
